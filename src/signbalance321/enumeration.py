@@ -100,7 +100,13 @@ def psi_fixed_point_count(n: int, d: int) -> int:
     return ballot_number((n + d - 2) // 2, (n - 2) // 2)
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got n = {n}")
+
+
 def _check_filter_cap(n: int, allow_large: bool) -> None:
+    _check_size(n)
     if n <= FILTER_CAP:
         return
     if not allow_large:
@@ -116,6 +122,7 @@ def _check_filter_cap(n: int, allow_large: bool) -> None:
 
 
 def _check_ballot_cap(n: int, allow_large: bool) -> None:
+    _check_size(n)
     if n > BALLOT_HARD_CAP:
         raise LimitExceeded(
             f"ballot generator hard-capped at n = {BALLOT_HARD_CAP} (got {n})"

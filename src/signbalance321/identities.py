@@ -48,7 +48,7 @@ from .enumeration import (
 )
 from .errors import UnknownIdentity
 from .involutions import capital_phi, capital_psi, ldes_lind_bijection, ldes_lind_inverse
-from .matching import match_pairs, region_counts, sign_by_srs, srs
+from .matching import _region_counts, match_pairs, sign_by_srs, srs
 from .permutations import (
     Permutation,
     _is_321_avoiding,
@@ -253,11 +253,9 @@ def _check_lemma2_2(n: int) -> IdentityCheck:
     inv_total = 0
     decomposed_total = 0
     for w in _iter_tn_perms(n):
-        pairs = match_pairs(w).pairs
         c_sum = 0
-        for pair in pairs:
-            i, j = pair
-            rc = region_counts(w, pair)
+        for i, j in match_pairs(w).pairs:
+            rc = _region_counts(w.values, i, j)
             vi = w.values[i - 1]
             bad.hit(rc.c1 == 0, w)
             bad.hit((rc.c - (vi + j)) % 2 == 0, w)
@@ -537,10 +535,21 @@ def verify(
     workers: int = 1,
     allow_large: bool = False,
 ) -> VerificationReport:
-    """Verify the labelled identity at every applicable size up to n_max."""
+    """Verify the labelled identity at every applicable size up to n_max.
+
+    Raises ValueError when no size applies (n_max below the label's first
+    size) or when fewer than one worker is asked for, so that no report can
+    pass over zero checks.
+    """
     sizes = applicable_sizes(identity, n_max)
-    if sizes:
-        _check_ballot_cap(max(sizes), allow_large)
+    if not sizes:
+        start = _CHECKERS[identity][1]
+        raise ValueError(
+            f"{identity} applies from n = {start}; n_max = {n_max} selects no size"
+        )
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_ballot_cap(max(sizes), allow_large)
     if workers > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             checks = list(

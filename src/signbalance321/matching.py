@@ -104,14 +104,8 @@ def srs(w: Permutation, cross_check: bool = False) -> int:
     return total
 
 
-def region_counts(w: Permutation, pair: tuple[int, int]) -> RegionCounts:
-    """Region counts for one matched pair of w."""
-    matching = match_pairs(w)
-    pair = (int(pair[0]), int(pair[1]))
-    if pair not in matching.pairs:
-        raise NotAMatchedPair(f"{pair} is not a matched pair of {w}")
-    values = w.values
-    i, j = pair
+def _region_counts(values: tuple[int, ...], i: int, j: int) -> RegionCounts:
+    # Tuple-level counting for a pair (i, j) already known to be matched.
     vi, vj = values[i - 1], values[j - 1]
     c1 = c2 = c3 = c4 = 0
     for l in range(i + 1, j):
@@ -127,6 +121,15 @@ def region_counts(w: Permutation, pair: tuple[int, int]) -> RegionCounts:
         elif vj < x:
             c3 += 1
     return RegionCounts(c1, c2, c3, c4)
+
+
+def region_counts(w: Permutation, pair: tuple[int, int]) -> RegionCounts:
+    """Region counts for one matched pair of w."""
+    matching = match_pairs(w)
+    pair = (int(pair[0]), int(pair[1]))
+    if pair not in matching.pairs:
+        raise NotAMatchedPair(f"{pair} is not a matched pair of {w}")
+    return _region_counts(w.values, *pair)
 
 
 def sign_by_srs(w: Permutation) -> int:

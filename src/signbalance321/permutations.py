@@ -16,7 +16,7 @@ e.g. ``"4 1 2 5 7 8 3 6 9 12 10 11"``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -112,6 +112,12 @@ def inverse(w: Permutation) -> Permutation:
 
 # Tuple-level implementations.  Public functions unwrap the Permutation and
 # delegate here; enumeration loops use these directly on raw value tuples.
+# Every one reads the word itself and is independent of the tableau code.
+# The inversion count takes O(n log n) comparisons: each letter is counted
+# against a sorted list of the letters before it by binary search, then
+# inserted there.  An insertion shifts the list's tail in one C memmove, so
+# the O(n^2) pointer moves in total stay far cheaper than Python-level
+# comparisons at the sizes this package handles (n up to a few hundred).
 
 def _is_321_avoiding(values: Sequence[int]) -> bool:
     # Track the running maximum and the largest letter seen so far that has a
@@ -130,10 +136,14 @@ def _is_321_avoiding(values: Sequence[int]) -> bool:
 
 
 def _inversion_count(values: Sequence[int]) -> int:
-    n = len(values)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if values[i] > values[j]
-    )
+    # Letter x at index i has i letters before it; those above x are
+    # i - bisect_right(seen, x) of them.
+    seen: list[int] = []
+    total = 0
+    for i, x in enumerate(values):
+        total += i - bisect_right(seen, x)
+        insort(seen, x)
+    return total
 
 
 def _sign(values: Sequence[int]) -> int:
@@ -178,12 +188,27 @@ def is_321_avoiding(w: Permutation) -> bool:
 
 
 def inversion_count(w: Permutation) -> int:
-    """Number of pairs i < j with w_i > w_j."""
+    """Number of pairs i < j with w_i > w_j.
+
+    Counted from the word by binary search into the sorted prefix: O(n log n)
+    comparisons plus one list insertion (a memmove) per letter.
+
+    >>> inversion_count(Permutation((2, 3, 1)))
+    2
+    """
     return _inversion_count(w.values)
 
 
 def sign_by_inversions(w: Permutation) -> int:
-    """The sign of the permutation: (-1) raised to the inversion count."""
+    """The sign of the permutation: (-1) raised to the inversion count.
+
+    Uses the same O(n log n) count as ``inversion_count``, read off the word,
+    not off the tableau pair or the cycle type, so it stays an independent
+    check of the tableau sign formula.
+
+    >>> sign_by_inversions(Permutation((1, 3, 2)))
+    -1
+    """
     return _sign(w.values)
 
 

@@ -128,6 +128,12 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--n", "15", "--by", "lis")
         assert code == 2 and "error" in err
 
+    def test_negative_n_exit_two(self, capsys):
+        for by in ("lis", "ldes", "lind", "sign"):
+            code, out, err = run(capsys, "stats", "--n", "-1", "--by", by)
+            assert code == 2 and out == ""
+            assert "nonnegative" in err
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -168,6 +174,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--identity", "thm2.2", "--n-max", "4")
         assert code == 2
 
+    def test_empty_size_range_exit_two(self, capsys):
+        for n_max in ("2", "-3"):
+            code, out, err = run(
+                capsys, "verify", "--identity", "thm1.1", "--n-max", n_max
+            )
+            assert code == 2 and out == ""
+            assert "n = 3" in err and "all checks passed" not in err
+
+    def test_bad_worker_count_exit_two(self, capsys):
+        for workers in ("0", "-2"):
+            code, out, err = run(
+                capsys,
+                "verify", "--identity", "prop2.1", "--n-max", "3",
+                "--workers", workers,
+            )
+            assert code == 2 and out == ""
+            assert f"got {workers}" in err
+
 
 class TestEnumerate:
     def test_perms(self, capsys):
@@ -192,6 +216,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--emit", "tableaux")
         assert code == 0
         assert out.splitlines() == ["1 / 2\t1 / 2", "1 2\t1 2"]
+
+    def test_negative_n_exit_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "-2")
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "--n", "5")

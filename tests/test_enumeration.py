@@ -93,6 +93,11 @@ class TestGenerators:
         with pytest.raises(LimitExceeded):
             next(generate_Tn_ballot(17, allow_large=True))
 
+    def test_negative_size_rejected(self):
+        for gen in (generate_Tn_ballot, generate_Tn_filter):
+            with pytest.raises(ValueError, match="nonnegative"):
+                next(gen(-1))
+
     def test_override_warns(self):
         with pytest.warns(RuntimeWarning):
             gen = generate_Tn_ballot(15, allow_large=True)
@@ -135,6 +140,9 @@ class TestSignedDistribution:
             signed_distribution(0, "lind")
         with pytest.raises(LimitExceeded):
             signed_distribution(15, "lis")
+        for stat in ("lis", "ldes", "lind"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                signed_distribution(-1, stat)
 
 
 class TestSignedPolynomial:
@@ -172,3 +180,6 @@ class TestSignedPolynomial:
             signed_polynomial(3, "lind")
         with pytest.raises(ValueError):
             signed_polynomial(3, ("ldes", "lis"))
+        for statistics in ("lis", "ldes", ("lis", "ldes")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                signed_polynomial(-2, statistics)

@@ -28,6 +28,20 @@ def test_unknown_label():
         check_identity_at("nope", 3)
 
 
+def test_verify_rejects_empty_size_range():
+    for n_max in (2, 0, -3):
+        with pytest.raises(ValueError, match="thm1.1 applies from n = 3"):
+            verify("thm1.1", n_max)
+    with pytest.raises(ValueError, match="n = 2"):
+        verify("prop4.3", 1)
+
+
+def test_verify_rejects_bad_worker_count():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            verify("prop2.1", 3, workers=workers)
+
+
 def test_applicable_sizes():
     assert applicable_sizes("thm1.1", 6) == [3, 4, 5, 6]
     assert applicable_sizes("thm4.1", 4) == [2, 3, 4]

@@ -1,4 +1,6 @@
 """Permutation statistics against brute-force oracles and frozen values."""
+import random
+
 import pytest
 
 from signbalance321 import (
@@ -54,6 +56,43 @@ def brute_inversions(values):
     )
 
 
+def cycle_sign(values):
+    # Parity from the cycle type, (-1)^(n - #cycles): a method unrelated to
+    # counting inversions.
+    seen = [False] * len(values)
+    cycles = 0
+    for start in range(len(values)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = values[i] - 1
+    return -1 if (len(values) - cycles) % 2 else 1
+
+
+def random_inputs(seed=321):
+    """Seeded permutations of sizes 0..400: uniform shuffles (which contain
+    321 from small sizes on) and merges of two increasing runs (which avoid
+    321)."""
+    rng = random.Random(seed)
+    sizes = list(range(0, 20)) + list(range(20, 400, 17)) + [400]
+    inputs = []
+    for n in sizes:
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        inputs.append(tuple(shuffled))
+        k = rng.randint(0, n)
+        letters = sorted(rng.sample(range(1, n + 1), k))
+        positions = set(rng.sample(range(n), k))
+        rest = iter(sorted(set(range(1, n + 1)) - set(letters)))
+        chosen = iter(letters)
+        inputs.append(
+            tuple(next(chosen) if i in positions else next(rest) for i in range(n))
+        )
+    return inputs
+
+
 class TestConstruction:
     def test_valid(self):
         assert Permutation((2, 3, 1)).n == 3
@@ -106,6 +145,22 @@ class TestInversions:
         assert sign_by_inversions(identity(4)) == 1
         assert sign_by_inversions(Permutation((2, 3, 1))) == 1
         assert sign_by_inversions(Permutation((1, 3, 2))) == -1
+
+    def test_random_against_brute_force(self):
+        inputs = random_inputs()
+        assert any(brute_contains_321(v) for v in inputs)
+        assert any(len(v) > 100 and not brute_contains_321(v) for v in inputs)
+        for values in inputs:
+            w = Permutation(values)
+            assert inversion_count(w) == brute_inversions(values)
+            assert sign_by_inversions(w) == cycle_sign(values)
+
+    def test_reversal(self):
+        n = 400
+        w = Permutation(tuple(range(n, 0, -1)))
+        assert inversion_count(w) == brute_inversions(w.values) == n * (n - 1) // 2
+        assert sign_by_inversions(w) == cycle_sign(w.values) == 1
+        assert sign_by_inversions(Permutation(tuple(range(399, 0, -1)))) == -1
 
 
 class TestDescents:
