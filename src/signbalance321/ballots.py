@@ -123,7 +123,10 @@ def _iter_ballot_tuples(n: int, ones: int | None = None) -> Iterator[tuple[int, 
 
 def generate_ballot_sequences(n: int, ones: int | None = None) -> Iterator[BallotSequence]:
     """Stream all ballot sequences of length n in lexicographic order,
-    optionally restricted to a fixed number of +1 entries."""
+    optionally restricted to a fixed number of +1 entries.  Raises
+    ValueError for n < 0."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got n = {n}")
     for entries in _iter_ballot_tuples(n, ones):
         yield BallotSequence(entries)
 

@@ -1,15 +1,18 @@
 """
 Exhaustive verification of the sign-balance identities.
 
-Each label names one claim.  ``verify(label, n_max)`` runs the claim at
-every applicable size up to ``n_max`` and returns a report with one row per
-size: pass/fail, the compared exact values, and the first counterexample
-when an elementwise check fails.
+Each label names one claim, registered once in ``_REGISTRY`` with its
+first size, its checker and its summary.  ``verify(label, n_max)`` runs the
+claim at every applicable size up to ``n_max`` and returns a report with one
+row per size: pass/fail, the compared exact values, and the first
+counterexample when an elementwise check fails.
 
-Aggregate claims (the signed-polynomial identities) compare left- and
-right-hand polynomials; elementwise claims report a violation count against
-an expected zero, alongside whatever aggregate values make the comparison
-auditable.
+A checker returns its two compared maps and its first witness; it never
+judges.  Every claim has the same verdict: a check passes exactly when its
+two compared maps are equal.  Aggregate claims (the signed-polynomial
+identities) compare left- and right-hand polynomials; elementwise claims put
+their violation count on the left against an expected zero on the right,
+alongside whatever aggregate values make the comparison auditable.
 
 Rows for disjoint sizes may be computed by worker processes; the merged
 report is ordered by size and is identical for any worker count.
@@ -22,6 +25,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .ballots import (
     BallotClassTag,
@@ -75,44 +79,6 @@ __all__ = [
     "report_csv",
 ]
 
-IDENTITY_LABELS = (
-    "thm1.1",
-    "prop2.1",
-    "lemma2.2",
-    "prop3.1",
-    "phi-involution",
-    "eo-identities",
-    "thm4.1",
-    "lemma4.2-parity",
-    "prop4.3",
-    "cor4.4",
-    "thm5.1",
-    "srs-matching-consistency",
-)
-
-IDENTITY_SUMMARIES = {
-    "thm1.1": "signed lis-polynomial of size n telescopes to the unsigned"
-    " polynomial of half size (odd n), times (q - 1) for even n",
-    "prop2.1": "tableau sign formula agrees with the inversion-count sign",
-    "lemma2.2": "per-pair region counts: parity and inversion decomposition",
-    "prop3.1": "ballot swap at epsilon is a sign-reversing involution;"
-    " fixed-class counts match the closed form",
-    "phi-involution": "the lis-preserving involution on permutations:"
-    " involutive, sign-reversing off fixed points, fixed counts squared",
-    "eo-identities": "the four even-minus-odd count identities per lis value",
-    "thm4.1": "signed ldes-polynomial telescopes to half size",
-    "lemma4.2-parity": "parity of sign under the A*/B*/Bx case split, plus"
-    " the matching class counts",
-    "prop4.3": "the ldes-preserving involution: involutive, sign-reversing"
-    " off fixed points, fixed counts per descent match the closed form",
-    "cor4.4": "both joint (lis, ldes) identities with the parity filters",
-    "thm5.1": "delete/reinsert map is a bijection transporting ldes + 1 to"
-    " the position of the largest letter, preserving inverse descents",
-    "srs-matching-consistency": "matched letters/positions equal the second"
-    " rows; second-row sum equals the matched-pair sum",
-}
-
-
 @dataclass
 class IdentityCheck:
     """Result of one identity at one size."""
@@ -147,6 +113,10 @@ def _iter_tn_perms(n):
         yield Permutation(values)
 
 
+# What a checker returns: the two compared maps and the first witness.
+_Compared = tuple[dict[str, int], dict[str, int], "str | None"]
+
+
 class _Violations:
     """Collects a violation count and the first offending witness."""
 
@@ -160,6 +130,12 @@ class _Violations:
             if self.witness is None:
                 self.witness = str(witness)
         return ok
+
+    def compared(self, lhs: dict[str, int], rhs: dict[str, int]) -> _Compared:
+        """The compared maps with the violation count appended against an
+        expected zero, and the first witness."""
+        lhs = {**lhs, "violations": self.count}
+        return lhs, {**rhs, "violations": 0}, self.witness
 
 
 def _strip_zeros(mapping: dict) -> dict[str, int]:
@@ -183,27 +159,27 @@ def _unsigned_bivariate(m: int) -> SignedPolynomial:
     return SignedPolynomial.from_terms(terms)
 
 
-def _check_thm1_1(n: int) -> IdentityCheck:
+def _check_thm1_1(n: int) -> _Compared:
     lhs = signed_polynomial(n, "lis")
     if n % 2:
         rhs = _unsigned_univariate((n - 1) // 2, "lis", 1)
     else:
         q_minus_one = SignedPolynomial.from_terms({(1,): 1, (0,): -1})
         rhs = q_minus_one * _unsigned_univariate((n - 2) // 2, "lis", 1)
-    return IdentityCheck("thm1.1", n, lhs == rhs, lhs.as_map(), rhs.as_map())
+    return lhs.as_map(), rhs.as_map(), None
 
 
-def _check_thm4_1(n: int) -> IdentityCheck:
+def _check_thm4_1(n: int) -> _Compared:
     lhs = signed_polynomial(n, "ldes")
     if n % 2:
         rhs = _unsigned_univariate((n - 1) // 2, "ldes", 0)
     else:
         one_minus_q = SignedPolynomial.from_terms({(0,): 1, (1,): -1})
         rhs = one_minus_q * _unsigned_univariate(n // 2, "ldes", 0)
-    return IdentityCheck("thm4.1", n, lhs == rhs, lhs.as_map(), rhs.as_map())
+    return lhs.as_map(), rhs.as_map(), None
 
 
-def _check_eo_identities(n: int) -> IdentityCheck:
+def _check_eo_identities(n: int) -> _Compared:
     dist = signed_distribution(n, "lis")
     observed = dist.signed()
     expected: dict[int, int] = {}
@@ -219,16 +195,10 @@ def _check_eo_identities(n: int) -> IdentityCheck:
                 value = ballot_number(m, (j - 2) // 2) ** 2
         if value:
             expected[j] = value
-    return IdentityCheck(
-        "eo-identities",
-        n,
-        observed == expected,
-        _strip_zeros(observed),
-        _strip_zeros(expected),
-    )
+    return _strip_zeros(observed), _strip_zeros(expected), None
 
 
-def _check_prop2_1(n: int) -> IdentityCheck:
+def _check_prop2_1(n: int) -> _Compared:
     bad = _Violations()
     even_srs = odd_srs = even_inv = odd_inv = 0
     for w in _iter_tn_perms(n):
@@ -243,12 +213,12 @@ def _check_prop2_1(n: int) -> IdentityCheck:
         else:
             odd_inv += 1
         bad.hit(s_tab == s_inv, w)
-    lhs = {"even": even_srs, "odd": odd_srs, "violations": bad.count}
-    rhs = {"even": even_inv, "odd": odd_inv, "violations": 0}
-    return IdentityCheck("prop2.1", n, bad.count == 0, lhs, rhs, bad.witness)
+    return bad.compared(
+        {"even": even_srs, "odd": odd_srs}, {"even": even_inv, "odd": odd_inv}
+    )
 
 
-def _check_lemma2_2(n: int) -> IdentityCheck:
+def _check_lemma2_2(n: int) -> _Compared:
     bad = _Violations()
     inv_total = 0
     decomposed_total = 0
@@ -266,12 +236,12 @@ def _check_lemma2_2(n: int) -> IdentityCheck:
         bad.hit(inv == decomposition, w)
         inv_total += inv
         decomposed_total += decomposition
-    lhs = {"inversion_total": inv_total, "violations": bad.count}
-    rhs = {"inversion_total": decomposed_total, "violations": 0}
-    return IdentityCheck("lemma2.2", n, bad.count == 0, lhs, rhs, bad.witness)
+    return bad.compared(
+        {"inversion_total": inv_total}, {"inversion_total": decomposed_total}
+    )
 
 
-def _check_prop3_1(n: int) -> IdentityCheck:
+def _check_prop3_1(n: int) -> _Compared:
     bad = _Violations()
     observed: dict[int, int] = {}
     for b in generate_ballot_sequences(n):
@@ -295,15 +265,10 @@ def _check_prop3_1(n: int) -> IdentityCheck:
             bad.hit(ones_count(c) == k, b)
             bad.hit(epsilon(c) == e, b)
     expected = {k: a_star_count(n, k) for k in range(n + 1)}
-    lhs = dict(_strip_zeros(observed))
-    rhs = dict(_strip_zeros(expected))
-    lhs["violations"] = bad.count
-    rhs["violations"] = 0
-    passed = bad.count == 0 and _strip_zeros(observed) == _strip_zeros(expected)
-    return IdentityCheck("prop3.1", n, passed, lhs, rhs, bad.witness)
+    return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _check_phi_involution(n: int) -> IdentityCheck:
+def _check_phi_involution(n: int) -> _Compared:
     bad = _Violations()
     fixed_by_k: dict[int, int] = {}
     for w in _iter_tn_perms(n):
@@ -324,15 +289,10 @@ def _check_phi_involution(n: int) -> IdentityCheck:
                 sign_by_inversions(out.image) == -sign_by_inversions(w), w
             )
     expected = {k: a_star_count(n, k) ** 2 for k in range(n + 1)}
-    lhs = dict(_strip_zeros(fixed_by_k))
-    rhs = dict(_strip_zeros(expected))
-    lhs["violations"] = bad.count
-    rhs["violations"] = 0
-    passed = bad.count == 0 and _strip_zeros(fixed_by_k) == _strip_zeros(expected)
-    return IdentityCheck("phi-involution", n, passed, lhs, rhs, bad.witness)
+    return bad.compared(_strip_zeros(fixed_by_k), _strip_zeros(expected))
 
 
-def _check_lemma4_2(n: int) -> IdentityCheck:
+def _check_lemma4_2(n: int) -> _Compared:
     bad = _Violations()
     # Elementwise parity claims over the permutations whose insertion-side
     # sequence is in A* and whose recording side avoids class B.
@@ -355,40 +315,29 @@ def _check_lemma4_2(n: int) -> IdentityCheck:
                 (s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0),
                 w,
             )
-    # Class-count equalities over the ballot sequences themselves.
+    # Class-count equalities over the ballot sequences themselves: odd
+    # descent, ones of the parity of n, and for even n only B* sequences
+    # ending in +1.
     a_counts: dict[tuple[int, int], int] = {}
     b_counts: dict[tuple[int, int], int] = {}
     for b in generate_ballot_sequences(n):
         k = ones_count(b)
         d = delta(b)
-        if d % 2 == 0:
+        if d % 2 == 0 or k % 2 != n % 2:
             continue
         cls = classify(b)
-        if n % 2:
-            if k % 2 == 0:
-                continue
-            if cls.tag is BallotClassTag.A_STAR:
-                a_counts[(k, d)] = a_counts.get((k, d), 0) + 1
-            elif cls.tag is BallotClassTag.B_STAR:
-                b_counts[(k, d)] = b_counts.get((k, d), 0) + 1
-        else:
-            if k % 2:
-                continue
-            if cls.tag is BallotClassTag.A_STAR:
-                a_counts[(k, d)] = a_counts.get((k, d), 0) + 1
-            elif cls.tag is BallotClassTag.B_STAR and cls.ends_plus:
-                b_counts[(k, d)] = b_counts.get((k, d), 0) + 1
+        if cls.tag is BallotClassTag.A_STAR:
+            a_counts[(k, d)] = a_counts.get((k, d), 0) + 1
+        elif cls.tag is BallotClassTag.B_STAR and (n % 2 or cls.ends_plus):
+            b_counts[(k, d)] = b_counts.get((k, d), 0) + 1
     cells = sorted(set(a_counts) | set(b_counts))
-    lhs = {f"{k},{d}": a_counts.get((k, d), 0) for k, d in cells}
-    rhs = {f"{k},{d}": b_counts.get((k, d), 0) for k, d in cells}
-    counts_ok = lhs == rhs
-    lhs["violations"] = bad.count
-    rhs["violations"] = 0
-    passed = bad.count == 0 and counts_ok
-    return IdentityCheck("lemma4.2-parity", n, passed, lhs, rhs, bad.witness)
+    return bad.compared(
+        {f"{k},{d}": a_counts.get((k, d), 0) for k, d in cells},
+        {f"{k},{d}": b_counts.get((k, d), 0) for k, d in cells},
+    )
 
 
-def _check_prop4_3(n: int) -> IdentityCheck:
+def _check_prop4_3(n: int) -> _Compared:
     bad = _Violations()
     observed: dict[int, int] = {}
     for w in _iter_tn_perms(n):
@@ -412,31 +361,21 @@ def _check_prop4_3(n: int) -> IdentityCheck:
                 observed.get(d, 0) == observed.get(d + 1, 0),
                 f"fixed-point counts at descents {d} and {d + 1} differ",
             )
-    lhs = dict(_strip_zeros(observed))
-    rhs = dict(_strip_zeros(expected))
-    lhs["violations"] = bad.count
-    rhs["violations"] = 0
-    passed = bad.count == 0 and _strip_zeros(observed) == _strip_zeros(expected)
-    return IdentityCheck("prop4.3", n, passed, lhs, rhs, bad.witness)
+    return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _check_cor4_4(n: int) -> IdentityCheck:
-    if n % 2:
-        m = (n - 1) // 2
-        lhs = _unsigned_bivariate(m)
-        rhs = signed_polynomial(n, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
-    else:
-        m = n // 2
-        lhs = _unsigned_bivariate(m)
-        rhs = signed_polynomial(
-            n, ("lis", "ldes"), lis_parity=1, ldes_parity=0
-        ) + signed_polynomial(
+def _check_cor4_4(n: int) -> _Compared:
+    # Half size is (n - 1) / 2 for odd n and n / 2 for even n.
+    lhs = _unsigned_bivariate(n // 2)
+    rhs = signed_polynomial(n, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
+    if n % 2 == 0:
+        rhs += signed_polynomial(
             n, ("lis", "ldes"), lis_parity=0, ldes_parity=0
         ).shift(1, 0)
-    return IdentityCheck("cor4.4", n, lhs == rhs, lhs.as_map(), rhs.as_map())
+    return lhs.as_map(), rhs.as_map(), None
 
 
-def _check_thm5_1(n: int) -> IdentityCheck:
+def _check_thm5_1(n: int) -> _Compared:
     bad = _Violations()
     images = set()
     fiber_lind: dict[tuple, int] = {}
@@ -462,16 +401,10 @@ def _check_thm5_1(n: int) -> IdentityCheck:
     rhs_counts = {
         d + 1: c for d, c in signed_distribution(n, "ldes").counts().items()
     }
-    lhs = dict(_strip_zeros(lhs_counts))
-    rhs = dict(_strip_zeros(rhs_counts))
-    dist_ok = lhs == rhs
-    lhs["violations"] = bad.count
-    rhs["violations"] = 0
-    passed = bad.count == 0 and dist_ok
-    return IdentityCheck("thm5.1", n, passed, lhs, rhs, bad.witness)
+    return bad.compared(_strip_zeros(lhs_counts), _strip_zeros(rhs_counts))
 
 
-def _check_srs_matching(n: int) -> IdentityCheck:
+def _check_srs_matching(n: int) -> _Compared:
     bad = _Violations()
     for w in _iter_tn_perms(n):
         pairs = match_pairs(w).pairs
@@ -485,48 +418,89 @@ def _check_srs_matching(n: int) -> IdentityCheck:
             srs(w, cross_check=True)
         except AssertionError:
             bad.hit(False, w)
-    lhs = {"violations": bad.count}
-    rhs = {"violations": 0}
-    return IdentityCheck(
-        "srs-matching-consistency", n, bad.count == 0, lhs, rhs, bad.witness
-    )
+    return bad.compared({}, {})
 
 
-_CHECKERS = {
-    "thm1.1": (_check_thm1_1, 3),
-    "prop2.1": (_check_prop2_1, 1),
-    "lemma2.2": (_check_lemma2_2, 1),
-    "prop3.1": (_check_prop3_1, 1),
-    "phi-involution": (_check_phi_involution, 1),
-    "eo-identities": (_check_eo_identities, 1),
-    "thm4.1": (_check_thm4_1, 2),
-    "lemma4.2-parity": (_check_lemma4_2, 1),
-    "prop4.3": (_check_prop4_3, 2),
-    "cor4.4": (_check_cor4_4, 2),
-    "thm5.1": (_check_thm5_1, 1),
-    "srs-matching-consistency": (_check_srs_matching, 1),
+class _Claim(NamedTuple):
+    start: int
+    checker: Callable[[int], _Compared]
+    summary: str
+
+
+# Label -> first size, checker and summary, in report and help order.
+_REGISTRY = {
+    "thm1.1": _Claim(
+        3, _check_thm1_1,
+        "signed lis-polynomial of size n telescopes to the unsigned"
+        " polynomial of half size (odd n), times (q - 1) for even n"),
+    "prop2.1": _Claim(
+        1, _check_prop2_1,
+        "tableau sign formula agrees with the inversion-count sign"),
+    "lemma2.2": _Claim(
+        1, _check_lemma2_2,
+        "per-pair region counts: parity and inversion decomposition"),
+    "prop3.1": _Claim(
+        1, _check_prop3_1,
+        "ballot swap at epsilon is a sign-reversing involution;"
+        " fixed-class counts match the closed form"),
+    "phi-involution": _Claim(
+        1, _check_phi_involution,
+        "the lis-preserving involution on permutations:"
+        " involutive, sign-reversing off fixed points, fixed counts squared"),
+    "eo-identities": _Claim(
+        1, _check_eo_identities,
+        "the four even-minus-odd count identities per lis value"),
+    "thm4.1": _Claim(
+        2, _check_thm4_1,
+        "signed ldes-polynomial telescopes to half size"),
+    "lemma4.2-parity": _Claim(
+        1, _check_lemma4_2,
+        "parity of sign under the A*/B*/Bx case split, plus"
+        " the matching class counts"),
+    "prop4.3": _Claim(
+        2, _check_prop4_3,
+        "the ldes-preserving involution: involutive, sign-reversing"
+        " off fixed points, fixed counts per descent match the closed form"),
+    "cor4.4": _Claim(
+        2, _check_cor4_4,
+        "both joint (lis, ldes) identities with the parity filters"),
+    "thm5.1": _Claim(
+        1, _check_thm5_1,
+        "delete/reinsert map is a bijection transporting ldes + 1 to"
+        " the position of the largest letter, preserving inverse descents"),
+    "srs-matching-consistency": _Claim(
+        1, _check_srs_matching,
+        "matched letters/positions equal the second"
+        " rows; second-row sum equals the matched-pair sum"),
 }
+
+IDENTITY_LABELS = tuple(_REGISTRY)
+IDENTITY_SUMMARIES = {label: claim.summary for label, claim in _REGISTRY.items()}
+
+
+def _claim(identity: str) -> _Claim:
+    if identity not in _REGISTRY:
+        raise UnknownIdentity(
+            f"unknown identity {identity!r}; expected one of {', '.join(IDENTITY_LABELS)}"
+        )
+    return _REGISTRY[identity]
 
 
 def applicable_sizes(identity: str, n_max: int) -> list[int]:
     """Sizes at which the labelled identity is claimed, up to n_max."""
-    if identity not in _CHECKERS:
-        raise UnknownIdentity(
-            f"unknown identity {identity!r}; expected one of {', '.join(IDENTITY_LABELS)}"
-        )
-    _checker, start = _CHECKERS[identity]
-    return list(range(start, n_max + 1))
+    return list(range(_claim(identity).start, n_max + 1))
 
 
 def check_identity_at(identity: str, n: int, allow_large: bool = False) -> IdentityCheck:
-    """Run one identity at one size."""
-    if identity not in _CHECKERS:
-        raise UnknownIdentity(
-            f"unknown identity {identity!r}; expected one of {', '.join(IDENTITY_LABELS)}"
-        )
+    """Run one identity at one size.
+
+    This is the only place a verdict is set, by one rule for every claim:
+    the check passes exactly when its two compared maps are equal.
+    """
+    checker = _claim(identity).checker
     _check_ballot_cap(n, allow_large)
-    checker, _start = _CHECKERS[identity]
-    return checker(n)
+    lhs, rhs, counterexample = checker(n)
+    return IdentityCheck(identity, n, lhs == rhs, lhs, rhs, counterexample)
 
 
 def verify(
@@ -543,9 +517,9 @@ def verify(
     """
     sizes = applicable_sizes(identity, n_max)
     if not sizes:
-        start = _CHECKERS[identity][1]
         raise ValueError(
-            f"{identity} applies from n = {start}; n_max = {n_max} selects no size"
+            f"{identity} applies from n = {_REGISTRY[identity].start};"
+            f" n_max = {n_max} selects no size"
         )
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -84,6 +84,12 @@ def match_pairs(w: Permutation) -> Matching:
     return Matching(tuple(pairs))
 
 
+def _second_row_sum(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    # The positions holding -1 in a ballot tuple are its tableau's second row.
+    total = sum(i for i, e in enumerate(p, 1) if e < 0)
+    return total + sum(i for i, e in enumerate(q, 1) if e < 0)
+
+
 def srs(w: Permutation, cross_check: bool = False) -> int:
     """Sum of the second rows of the insertion and recording tableaux.
 
@@ -91,9 +97,7 @@ def srs(w: Permutation, cross_check: bool = False) -> int:
     sum (letter at i plus position j, over all matched pairs) is computed as
     well and asserted equal; enumeration loops use the cheap path.
     """
-    p, q = _rsk_ballots(w.values)
-    total = sum(i for i, e in enumerate(p, 1) if e < 0)
-    total += sum(i for i, e in enumerate(q, 1) if e < 0)
+    total = _second_row_sum(*_rsk_ballots(w.values))
     if cross_check:
         pair_total = sum(w.values[i - 1] + j for i, j in match_pairs(w).pairs)
         if pair_total != total:
@@ -136,7 +140,5 @@ def sign_by_srs(w: Permutation) -> int:
     """Sign read off the tableau pair: parity of srs plus the second-row
     length (the number of letters, n, minus the first-row length)."""
     p, q = _rsk_ballots(w.values)
-    total = sum(i for i, e in enumerate(p, 1) if e < 0)
-    total += sum(i for i, e in enumerate(q, 1) if e < 0)
     k = sum(1 for e in p if e > 0)
-    return -1 if (total + len(p) - k) % 2 else 1
+    return -1 if (_second_row_sum(p, q) + len(p) - k) % 2 else 1

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ballots import BallotSequence
+from .ballots import BallotSequence, _delta
 from .errors import MalformedPair, MalformedTableau, ThirdRowRequired
 from .permutations import Permutation
 
@@ -205,10 +205,5 @@ def ballot_to_tableau(b: BallotSequence) -> TwoRowTableau:
 def ldes_from_recording(q: TwoRowTableau) -> int:
     """Greatest first-row entry i whose successor i + 1 sits in the second
     row; 0 when there is none.  Equals the maximum descent of the permutation
-    whose recording tableau is q."""
-    in_row2 = set(q.row2)
-    best = 0
-    for i in q.row1:
-        if i + 1 in in_row2:
-            best = i
-    return best
+    whose recording tableau is q: the delta of q's ballot sequence."""
+    return _delta(_rows_to_ballot(q.row1, q.n))

@@ -130,6 +130,11 @@ class TestGeneration:
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
 
+    def test_negative_size_rejected(self):
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match=f"size must be nonnegative, got n = {n}"):
+                list(generate_ballot_sequences(n))
+
 
 class TestPhi:
     def test_examples(self):

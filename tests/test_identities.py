@@ -1,5 +1,7 @@
 """The verification driver: labels, reports, and output formats."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from signbalance321 import (
     report_rows,
     verify,
 )
+from signbalance321 import identities
+from signbalance321.enumeration import SignedDistribution, SignedPolynomial
 from signbalance321.identities import IdentityCheck, VerificationReport, applicable_sizes
 
 
@@ -19,6 +23,14 @@ def test_all_labels_pass_at_small_sizes():
     for label in IDENTITY_LABELS:
         report = verify(label, 7)
         assert report.passed, (label, report.first_failure())
+
+
+def test_readme_label_table_matches_registry():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Identity labels", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    labels = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert tuple(labels) == IDENTITY_LABELS
 
 
 def test_unknown_label():
@@ -124,3 +136,62 @@ def test_lind_and_shifted_ldes_equidistributed_to_ten():
             for d, c in signed_distribution(n, "ldes").counts().items()
         }
         assert lhs == rhs
+
+
+def _flip_some_signs(real):
+    # Wrong on every permutation that starts with 1, the identity included.
+    return lambda w: -real(w) if w.values[0] == 1 else real(w)
+
+
+def _plus_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def _bump_first_row(real):
+    # One extra even permutation at the smallest statistic value.
+    def fake(n, statistic, allow_large=False):
+        dist = real(n, statistic, allow_large)
+        value, (even, odd) = next(iter(dist.rows.items()))
+        return SignedDistribution(
+            dist.statistic, dist.n, {**dist.rows, value: (even + 1, odd)}
+        )
+
+    return fake
+
+
+def _extra_constant_term(real):
+    # For the bivariate (lis, ldes) polynomials.
+    extra = SignedPolynomial.monomial((0, 0))
+    return lambda *args, **kwargs: real(*args, **kwargs) + extra
+
+
+# label -> (dependency looked up in signbalance321.identities, fault,
+#           whether the claim is checked permutation by permutation)
+_INJECTED_FAULTS = {
+    "thm1.1": ("signed_distribution", _bump_first_row, False),
+    "prop2.1": ("sign_by_inversions", _flip_some_signs, True),
+    "lemma2.2": ("lis_oracle", _plus_one, True),
+    "prop3.1": ("delta", _plus_one, True),
+    "phi-involution": ("sign_by_inversions", _flip_some_signs, True),
+    "eo-identities": ("signed_distribution", _bump_first_row, False),
+    "thm4.1": ("signed_distribution", _bump_first_row, False),
+    "lemma4.2-parity": ("sign_by_inversions", _flip_some_signs, True),
+    "prop4.3": ("sign_by_inversions", _flip_some_signs, True),
+    "cor4.4": ("signed_polynomial", _extra_constant_term, False),
+    "thm5.1": ("lind", _plus_one, True),
+    "srs-matching-consistency": ("lis_oracle", _plus_one, True),
+}
+
+
+@pytest.mark.parametrize("label", IDENTITY_LABELS)
+def test_no_check_passes_vacuously(monkeypatch, label):
+    # A wrong dependency must turn the verdict: the claim fails, the failing
+    # row shows unequal sides, and elementwise claims name a witness.
+    name, fault, elementwise = _INJECTED_FAULTS[label]
+    monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    report = verify(label, 7)
+    assert not report.passed
+    failure = report.first_failure()
+    assert failure.lhs != failure.rhs
+    if elementwise:
+        assert failure.counterexample is not None
