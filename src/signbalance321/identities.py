@@ -14,17 +14,25 @@ identities) compare left- and right-hand polynomials; elementwise claims put
 their violation count on the left against an expected zero on the right,
 alongside whatever aggregate values make the comparison auditable.
 
-Rows for disjoint sizes may be computed by worker processes; the merged
-report is ordered by size and is identical for any worker count.
+Elementwise claims that sweep T_n are registered as a ``_Sweep``: a tally
+over one slice of T_n and a finish that runs once per size.  ``verify``
+cuts each T_n into contiguous slices of the enumeration, along the
+insertion-side ballot, and with several workers checks the slices in worker
+processes.  Tallies add up slice by slice in enumeration order, keeping the
+first witness, so the report is ordered by size and identical for any
+worker count.  With one worker each size is a single slice, checked in this
+process.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .ballots import (
@@ -41,8 +49,9 @@ from .ballots import (
 from .enumeration import (
     SignedPolynomial,
     _check_ballot_cap,
-    _iter_tn_values,
+    _iter_tn_slice,
     _joint_rows,
+    _tn_slices,
     a_star_count,
     ballot_number,
     catalan,
@@ -52,7 +61,7 @@ from .enumeration import (
 )
 from .errors import UnknownIdentity
 from .involutions import capital_phi, capital_psi, ldes_lind_bijection, ldes_lind_inverse
-from .matching import _region_counts, match_pairs, sign_by_srs, srs
+from .matching import _region_counts, _second_row_sum, match_pairs, sign_by_srs
 from .permutations import (
     Permutation,
     _is_321_avoiding,
@@ -108,11 +117,6 @@ class VerificationReport:
         return None
 
 
-def _iter_tn_perms(n):
-    for values in _iter_tn_values(n):
-        yield Permutation(values)
-
-
 # What a checker returns: the two compared maps and the first witness.
 _Compared = tuple[dict[str, int], dict[str, int], "str | None"]
 
@@ -120,9 +124,14 @@ _Compared = tuple[dict[str, int], dict[str, int], "str | None"]
 class _Violations:
     """Collects a violation count and the first offending witness."""
 
-    def __init__(self):
-        self.count = 0
-        self.witness: str | None = None
+    def __init__(self, count: int = 0, witness: str | None = None):
+        self.count = count
+        self.witness = witness
+
+    def __add__(self, later: "_Violations") -> "_Violations":
+        # Tallies of consecutive slices: the earlier slice's witness wins.
+        witness = self.witness if self.witness is not None else later.witness
+        return _Violations(self.count + later.count, witness)
 
     def hit(self, ok: bool, witness) -> bool:
         if not ok:
@@ -198,10 +207,10 @@ def _check_eo_identities(n: int) -> _Compared:
     return _strip_zeros(observed), _strip_zeros(expected), None
 
 
-def _check_prop2_1(n: int) -> _Compared:
+def _tally_prop2_1(n: int, perms) -> tuple:
     bad = _Violations()
     even_srs = odd_srs = even_inv = odd_inv = 0
-    for w in _iter_tn_perms(n):
+    for w in perms:
         s_tab = sign_by_srs(w)
         s_inv = sign_by_inversions(w)
         if s_tab > 0:
@@ -213,16 +222,20 @@ def _check_prop2_1(n: int) -> _Compared:
         else:
             odd_inv += 1
         bad.hit(s_tab == s_inv, w)
+    return bad, even_srs, odd_srs, even_inv, odd_inv
+
+
+def _finish_prop2_1(n, bad, even_srs, odd_srs, even_inv, odd_inv) -> _Compared:
     return bad.compared(
         {"even": even_srs, "odd": odd_srs}, {"even": even_inv, "odd": odd_inv}
     )
 
 
-def _check_lemma2_2(n: int) -> _Compared:
+def _tally_lemma2_2(n: int, perms) -> tuple:
     bad = _Violations()
     inv_total = 0
     decomposed_total = 0
-    for w in _iter_tn_perms(n):
+    for w in perms:
         c_sum = 0
         for i, j in match_pairs(w).pairs:
             rc = _region_counts(w.values, i, j)
@@ -236,6 +249,10 @@ def _check_lemma2_2(n: int) -> _Compared:
         bad.hit(inv == decomposition, w)
         inv_total += inv
         decomposed_total += decomposition
+    return bad, inv_total, decomposed_total
+
+
+def _finish_lemma2_2(n, bad, inv_total, decomposed_total) -> _Compared:
     return bad.compared(
         {"inversion_total": inv_total}, {"inversion_total": decomposed_total}
     )
@@ -268,17 +285,17 @@ def _check_prop3_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _check_phi_involution(n: int) -> _Compared:
+def _tally_phi_involution(n: int, perms) -> tuple:
     bad = _Violations()
-    fixed_by_k: dict[int, int] = {}
-    for w in _iter_tn_perms(n):
+    fixed_by_k: Counter[int] = Counter()
+    for w in perms:
         out = capital_phi(w)
         k = lis_oracle(w)
         bad.hit(lis_oracle(out.image) == k, w)
         bad.hit(capital_phi(out.image).image == w, w)
         bad.hit(out.fixed == (out.image == w), w)
         if out.fixed:
-            fixed_by_k[k] = fixed_by_k.get(k, 0) + 1
+            fixed_by_k[k] += 1
             s = sign_by_inversions(w)
             if n % 2:
                 bad.hit(s == 1, w)
@@ -288,15 +305,19 @@ def _check_phi_involution(n: int) -> _Compared:
             bad.hit(
                 sign_by_inversions(out.image) == -sign_by_inversions(w), w
             )
+    return bad, fixed_by_k
+
+
+def _finish_phi_involution(n, bad, fixed_by_k) -> _Compared:
     expected = {k: a_star_count(n, k) ** 2 for k in range(n + 1)}
     return bad.compared(_strip_zeros(fixed_by_k), _strip_zeros(expected))
 
 
-def _check_lemma4_2(n: int) -> _Compared:
+def _tally_lemma4_2(n: int, perms) -> tuple:
     bad = _Violations()
     # Elementwise parity claims over the permutations whose insertion-side
     # sequence is in A* and whose recording side avoids class B.
-    for w in _iter_tn_perms(n):
+    for w in perms:
         p, q = _rsk_ballots(w.values)
         if any(p[i - 1] != p[i] for i in range(2, n, 2)):
             continue
@@ -315,6 +336,10 @@ def _check_lemma4_2(n: int) -> _Compared:
                 (s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0),
                 w,
             )
+    return (bad,)
+
+
+def _finish_lemma4_2(n, bad) -> _Compared:
     # Class-count equalities over the ballot sequences themselves: odd
     # descent, ones of the parity of n, and for even n only B* sequences
     # ending in +1.
@@ -337,10 +362,10 @@ def _check_lemma4_2(n: int) -> _Compared:
     )
 
 
-def _check_prop4_3(n: int) -> _Compared:
+def _tally_prop4_3(n: int, perms) -> tuple:
     bad = _Violations()
-    observed: dict[int, int] = {}
-    for w in _iter_tn_perms(n):
+    observed: Counter[int] = Counter()
+    for w in perms:
         out = capital_psi(w)
         k = lis_oracle(w)
         d = ldes(w)
@@ -350,15 +375,19 @@ def _check_prop4_3(n: int) -> _Compared:
         bad.hit(ldes(out.image) == d, w)
         bad.hit(out.fixed == (out.image == w), w)
         if out.fixed:
-            observed[d] = observed.get(d, 0) + 1
+            observed[d] += 1
             bad.hit((s == -1) == (n % 2 == 0 and d % 2 == 1), w)
         else:
             bad.hit(sign_by_inversions(out.image) == -s, w)
+    return bad, observed
+
+
+def _finish_prop4_3(n, bad, observed) -> _Compared:
     expected = {d: psi_fixed_point_count(n, d) for d in range(n)}
     if n % 2 == 0:
         for d in range(0, n, 2):
             bad.hit(
-                observed.get(d, 0) == observed.get(d + 1, 0),
+                observed[d] == observed[d + 1],
                 f"fixed-point counts at descents {d} and {d + 1} differ",
             )
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
@@ -375,12 +404,12 @@ def _check_cor4_4(n: int) -> _Compared:
     return lhs.as_map(), rhs.as_map(), None
 
 
-def _check_thm5_1(n: int) -> _Compared:
+def _tally_thm5_1(n: int, perms) -> tuple:
     bad = _Violations()
     images = set()
-    fiber_lind: dict[tuple, int] = {}
-    fiber_ldes: dict[tuple, int] = {}
-    for w in _iter_tn_perms(n):
+    fiber_lind: Counter[tuple] = Counter()
+    fiber_ldes: Counter[tuple] = Counter()
+    for w in perms:
         image = ldes_lind_bijection(w)
         images.add(image.values)
         bad.hit(_is_321_avoiding(image.values), w)
@@ -389,10 +418,12 @@ def _check_thm5_1(n: int) -> _Compared:
         fiber_img = tuple(i for i in descent_set(inverse(image)) if i <= n - 2)
         bad.hit(fiber == fiber_img, w)
         bad.hit(ldes_lind_inverse(image) == w, w)
-        key_lind = (fiber, lind(w))
-        key_ldes = (fiber, ldes(w) + 1)
-        fiber_lind[key_lind] = fiber_lind.get(key_lind, 0) + 1
-        fiber_ldes[key_ldes] = fiber_ldes.get(key_ldes, 0) + 1
+        fiber_lind[fiber, lind(w)] += 1
+        fiber_ldes[fiber, ldes(w) + 1] += 1
+    return bad, images, fiber_lind, fiber_ldes
+
+
+def _finish_thm5_1(n, bad, images, fiber_lind, fiber_ldes) -> _Compared:
     bad.hit(len(images) == catalan(n), f"{len(images)} distinct images")
     # Equidistribution of lind and ldes + 1, jointly with the inverse-descent
     # trace below n - 1.
@@ -404,9 +435,9 @@ def _check_thm5_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(lhs_counts), _strip_zeros(rhs_counts))
 
 
-def _check_srs_matching(n: int) -> _Compared:
+def _tally_srs_matching(n: int, perms) -> tuple:
     bad = _Violations()
-    for w in _iter_tn_perms(n):
+    for w in perms:
         pairs = match_pairs(w).pairs
         p, q = _rsk_ballots(w.values)
         row2_letters = {i for i, e in enumerate(p, 1) if e < 0}
@@ -414,16 +445,31 @@ def _check_srs_matching(n: int) -> _Compared:
         bad.hit({w.values[i - 1] for i, _ in pairs} == row2_letters, w)
         bad.hit({j for _, j in pairs} == row2_positions, w)
         bad.hit(len(pairs) == n - lis_oracle(w), w)
-        try:
-            srs(w, cross_check=True)
-        except AssertionError:
-            bad.hit(False, w)
+        pair_total = sum(w.values[i - 1] + j for i, j in pairs)
+        bad.hit(_second_row_sum(p, q) == pair_total, w)
+    return (bad,)
+
+
+def _finish_srs_matching(n, bad) -> _Compared:
     return bad.compared({}, {})
+
+
+class _Sweep(NamedTuple):
+    """A claim checked permutation by permutation over T_n.
+
+    ``tally(n, perms)`` folds one slice of T_n into a tuple of additive
+    tallies (a ``_Violations``, integers, Counters, sets); ``finish(n,
+    *tallies)`` runs the checks that need all of T_n on the tallies of every
+    slice merged in enumeration order.
+    """
+
+    tally: Callable[..., tuple]
+    finish: Callable[..., _Compared]
 
 
 class _Claim(NamedTuple):
     start: int
-    checker: Callable[[int], _Compared]
+    checker: Callable[[int], _Compared] | _Sweep
     summary: str
 
 
@@ -434,17 +480,17 @@ _REGISTRY = {
         "signed lis-polynomial of size n telescopes to the unsigned"
         " polynomial of half size (odd n), times (q - 1) for even n"),
     "prop2.1": _Claim(
-        1, _check_prop2_1,
+        1, _Sweep(_tally_prop2_1, _finish_prop2_1),
         "tableau sign formula agrees with the inversion-count sign"),
     "lemma2.2": _Claim(
-        1, _check_lemma2_2,
+        1, _Sweep(_tally_lemma2_2, _finish_lemma2_2),
         "per-pair region counts: parity and inversion decomposition"),
     "prop3.1": _Claim(
         1, _check_prop3_1,
         "ballot swap at epsilon is a sign-reversing involution;"
         " fixed-class counts match the closed form"),
     "phi-involution": _Claim(
-        1, _check_phi_involution,
+        1, _Sweep(_tally_phi_involution, _finish_phi_involution),
         "the lis-preserving involution on permutations:"
         " involutive, sign-reversing off fixed points, fixed counts squared"),
     "eo-identities": _Claim(
@@ -454,22 +500,22 @@ _REGISTRY = {
         2, _check_thm4_1,
         "signed ldes-polynomial telescopes to half size"),
     "lemma4.2-parity": _Claim(
-        1, _check_lemma4_2,
+        1, _Sweep(_tally_lemma4_2, _finish_lemma4_2),
         "parity of sign under the A*/B*/Bx case split, plus"
         " the matching class counts"),
     "prop4.3": _Claim(
-        2, _check_prop4_3,
+        2, _Sweep(_tally_prop4_3, _finish_prop4_3),
         "the ldes-preserving involution: involutive, sign-reversing"
         " off fixed points, fixed counts per descent match the closed form"),
     "cor4.4": _Claim(
         2, _check_cor4_4,
         "both joint (lis, ldes) identities with the parity filters"),
     "thm5.1": _Claim(
-        1, _check_thm5_1,
+        1, _Sweep(_tally_thm5_1, _finish_thm5_1),
         "delete/reinsert map is a bijection transporting ldes + 1 to"
         " the position of the largest letter, preserving inverse descents"),
     "srs-matching-consistency": _Claim(
-        1, _check_srs_matching,
+        1, _Sweep(_tally_srs_matching, _finish_srs_matching),
         "matched letters/positions equal the second"
         " rows; second-row sum equals the matched-pair sum"),
 }
@@ -491,16 +537,88 @@ def applicable_sizes(identity: str, n_max: int) -> list[int]:
     return list(range(_claim(identity).start, n_max + 1))
 
 
-def check_identity_at(identity: str, n: int, allow_large: bool = False) -> IdentityCheck:
-    """Run one identity at one size.
+def _applicable(identity: str, n_max: int) -> list[int]:
+    sizes = applicable_sizes(identity, n_max)
+    if not sizes:
+        raise ValueError(
+            f"{identity} applies from n = {_REGISTRY[identity].start};"
+            f" n_max = {n_max} selects no size"
+        )
+    return sizes
+
+
+# Slices per worker: enough that the slices still running when the others
+# are done are short.
+_SLICES_PER_WORKER = 4
+
+
+def _tasks(identity: str, sizes: list[int], workers: int) -> list[tuple]:
+    """(n, slice) tasks in enumeration order.
+
+    A sweep claim cuts each T_n into slices by its share of all the
+    permutations visited, about _SLICES_PER_WORKER slices per worker in all,
+    and into one slice when there is one worker.  Any other claim runs each
+    size whole (slice None).
+    """
+    if not isinstance(_REGISTRY[identity].checker, _Sweep):
+        return [(n, None) for n in sizes]
+    total = sum(catalan(n) for n in sizes)
+    tasks = []
+    for n in sizes:
+        parts = 1 if workers == 1 else -(-_SLICES_PER_WORKER * workers * catalan(n) // total)
+        tasks += [(n, bounds) for bounds in _tn_slices(n, parts)]
+    return tasks
+
+
+def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
+    checker = _REGISTRY[identity].checker
+    if bounds is None:
+        return checker(n)
+    return checker.tally(n, map(Permutation, _iter_tn_slice(n, *bounds)))
+
+
+def _merged(earlier: tuple, later: tuple) -> tuple:
+    return tuple(a | b if isinstance(a, set) else a + b for a, b in zip(earlier, later))
+
+
+def _check_sizes(identity: str, sizes: list[int], workers: int) -> list[IdentityCheck]:
+    """Run the tasks of every size, on worker processes when there are
+    several workers, and judge each size once its slices are merged."""
+    tasks = _tasks(identity, sizes, workers)
+    run = partial(_run_task, identity)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            return _judged(identity, tasks, pool.map(run, *zip(*tasks)))
+    return _judged(identity, tasks, map(run, *zip(*tasks)))
+
+
+def _judged(identity: str, tasks: list[tuple], results) -> list[IdentityCheck]:
+    """Merge each size's results in task order as they arrive and judge the
+    size, so that in this process a size's tallies are released before the
+    next size is swept.
 
     This is the only place a verdict is set, by one rule for every claim:
     the check passes exactly when its two compared maps are equal.
     """
-    checker = _claim(identity).checker
+    checker = _REGISTRY[identity].checker
+    checks = []
+    for n, group in groupby(zip(tasks, results), key=lambda done: done[0][0]):
+        merged = reduce(_merged, (result for _task, result in group))
+        if isinstance(checker, _Sweep):
+            merged = checker.finish(n, *merged)
+        lhs, rhs, witness = merged
+        checks.append(IdentityCheck(identity, n, lhs == rhs, lhs, rhs, witness))
+    return checks
+
+
+def check_identity_at(identity: str, n: int, allow_large: bool = False) -> IdentityCheck:
+    """Run one identity at one size, in this process.
+
+    Raises ValueError when n is below the label's first size.
+    """
+    _applicable(identity, n)
     _check_ballot_cap(n, allow_large)
-    lhs, rhs, counterexample = checker(n)
-    return IdentityCheck(identity, n, lhs == rhs, lhs, rhs, counterexample)
+    return _check_sizes(identity, [n], 1)[0]
 
 
 def verify(
@@ -511,27 +629,18 @@ def verify(
 ) -> VerificationReport:
     """Verify the labelled identity at every applicable size up to n_max.
 
-    Raises ValueError when no size applies (n_max below the label's first
-    size) or when fewer than one worker is asked for, so that no report can
-    pass over zero checks.
+    Each T_n sweep is cut into contiguous slices of the enumeration, which
+    worker processes check when ``workers`` > 1; the slices' tallies are
+    merged in enumeration order, so the report is identical for any worker
+    count.  Raises ValueError when no size applies (n_max below the label's
+    first size) or when fewer than one worker is asked for, so that no
+    report can pass over zero checks.
     """
-    sizes = applicable_sizes(identity, n_max)
-    if not sizes:
-        raise ValueError(
-            f"{identity} applies from n = {_REGISTRY[identity].start};"
-            f" n_max = {n_max} selects no size"
-        )
+    sizes = _applicable(identity, n_max)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     _check_ballot_cap(max(sizes), allow_large)
-    if workers > 1 and len(sizes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            checks = list(
-                pool.map(partial(check_identity_at, identity, allow_large=allow_large), sizes)
-            )
-    else:
-        checks = [check_identity_at(identity, n, allow_large) for n in sizes]
-    return VerificationReport(identity, n_max, checks)
+    return VerificationReport(identity, n_max, _check_sizes(identity, sizes, workers))
 
 
 def report_rows(report: VerificationReport) -> list[dict]:

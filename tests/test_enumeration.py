@@ -14,6 +14,7 @@ from signbalance321 import (
     signed_distribution,
     signed_polynomial,
 )
+from signbalance321.enumeration import _iter_tn_slice, _iter_tn_values, _tn_slices
 
 
 class TestBallotNumber:
@@ -102,6 +103,22 @@ class TestGenerators:
         with pytest.warns(RuntimeWarning):
             gen = generate_Tn_ballot(15, allow_large=True)
             next(gen)
+
+    def test_slices_partition_enumeration(self):
+        # Slices concatenated in order are the whole enumeration, none is
+        # empty, and none exceeds an equal share by more than one insertion
+        # side's worth of permutations.
+        for n in range(11):
+            whole = list(_iter_tn_values(n))
+            insertion_sides = sum(ballot_number(n, k) for k in range(n + 1))
+            widest = max(ballot_number(n, k) for k in range(n + 1))
+            for parts in (1, 2, 3, 7, 16, 1000):
+                slices = [list(_iter_tn_slice(n, *b)) for b in _tn_slices(n, parts)]
+                assert len(slices) == min(parts, insertion_sides)
+                assert [v for s in slices for v in s] == whole
+                assert all(slices)
+                if parts <= insertion_sides // 2:
+                    assert max(map(len, slices)) <= -(-len(whole) // parts) + widest
 
 
 class TestSignedDistribution:

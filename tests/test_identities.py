@@ -1,5 +1,6 @@
 """The verification driver: labels, reports, and output formats."""
 import json
+import os
 import re
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def test_verify_rejects_empty_size_range():
             verify("thm1.1", n_max)
     with pytest.raises(ValueError, match="n = 2"):
         verify("prop4.3", 1)
+
+
+def test_check_identity_at_rejects_sizes_below_first():
+    # The same message as verify over an empty size range; no spurious row.
+    for label, n in (("prop4.3", 0), ("prop4.3", 1), ("thm4.1", 0), ("thm1.1", 0)):
+        start = identities._REGISTRY[label].start
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(label)} applies from n = {start}; n_max = {n} selects no size$"
+        ):
+            check_identity_at(label, n)
 
 
 def test_verify_rejects_bad_worker_count():
@@ -195,3 +206,45 @@ def test_no_check_passes_vacuously(monkeypatch, label):
     assert failure.lhs != failure.rhs
     if elementwise:
         assert failure.counterexample is not None
+
+
+# Claims checked by a sweep over T_n: verify cuts each size into slices that
+# worker processes check.
+SWEEP_LABELS = (
+    "prop2.1",
+    "lemma2.2",
+    "phi-involution",
+    "lemma4.2-parity",
+    "prop4.3",
+    "thm5.1",
+    "srs-matching-consistency",
+)
+
+
+def test_sweep_labels_match_registry():
+    assert SWEEP_LABELS == tuple(
+        label
+        for label, claim in identities._REGISTRY.items()
+        if isinstance(claim.checker, identities._Sweep)
+    )
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_worker_count_never_changes_a_report(monkeypatch, label, faulted):
+    # With a fault the merged violation counts and the first witness must
+    # still match the serial report.  Worker processes are forked, so they
+    # see the patched dependency.
+    if faulted:
+        name, fault, _elementwise = _INJECTED_FAULTS[label]
+        monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    serial = report_json(verify(label, 8))
+    assert ('"pass": false' in serial) == faulted
+    for workers in (2, 3, os.cpu_count()):
+        assert report_json(verify(label, 8, workers=workers)) == serial, workers
+
+
+def test_largest_size_split_across_workers_matches_serial():
+    assert report_json(verify("prop4.3", 11, workers=2)) == report_json(
+        verify("prop4.3", 11)
+    )

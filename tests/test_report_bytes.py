@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of the CLI's stdout for one invocation: every
 identity label under ``verify --n-max 8`` in JSON, CSV and text, every
-statistic under ``stats --n 8`` in JSON and CSV, and ``verify --help``.  A
+statistic under ``stats --n 8`` in JSON and CSV, and ``verify --help``.
+The JSON reports must keep their bytes under ``--workers 2`` as well.  A
 change that alters any report byte fails here.  After a deliberate format
 change, recompute the digests from the new output and say why in the
 change log.
@@ -84,6 +85,14 @@ def test_every_label_and_format_is_pinned():
 def test_verify_report_bytes(capsys, monkeypatch, label, fmt):
     argv = ["verify", "--identity", label, "--n-max", "8"] + FORMAT_FLAGS[fmt]
     assert _stdout_digest(capsys, monkeypatch, argv) == VERIFY_DIGESTS[(label, fmt)]
+
+
+@pytest.mark.parametrize("label", IDENTITY_LABELS)
+def test_verify_report_bytes_with_two_workers(capsys, monkeypatch, label):
+    # Worker processes check slices of each size; the merged report has the
+    # serial report's bytes.
+    argv = ["verify", "--identity", label, "--n-max", "8", "--json", "--workers", "2"]
+    assert _stdout_digest(capsys, monkeypatch, argv) == VERIFY_DIGESTS[(label, "json")]
 
 
 @pytest.mark.parametrize("statistic,fmt", sorted(STATS_DIGESTS))
