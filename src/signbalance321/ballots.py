@@ -195,22 +195,47 @@ class BallotClass:
         return self.tag.value
 
 
+def _classify(entries: Sequence[int]) -> BallotClass:
+    e = _epsilon(entries)
+    ends_plus = len(entries) > 0 and entries[-1] > 0
+    if e == 0:
+        return BallotClass(BallotClassTag.A_STAR, ends_plus)
+    d = _delta(entries)
+    if e < d - 1:
+        return BallotClass(BallotClassTag.B, ends_plus)
+    if e == d - 1:
+        return BallotClass(BallotClassTag.B_STAR, ends_plus)
+    return BallotClass(BallotClassTag.B_TIMES, ends_plus)
+
+
 def classify(b: BallotSequence) -> BallotClass:
     """Classify by comparing epsilon and delta.
 
     A* when epsilon = 0; B when 0 < epsilon < delta - 1; B* when
     epsilon = delta - 1 > 0; Bx when epsilon >= delta and epsilon > 0.
     """
-    e = _epsilon(b.entries)
-    ends_plus = len(b.entries) > 0 and b.entries[-1] > 0
-    if e == 0:
-        return BallotClass(BallotClassTag.A_STAR, ends_plus)
-    d = _delta(b.entries)
-    if e < d - 1:
-        return BallotClass(BallotClassTag.B, ends_plus)
-    if e == d - 1:
-        return BallotClass(BallotClassTag.B_STAR, ends_plus)
-    return BallotClass(BallotClassTag.B_TIMES, ends_plus)
+    return _classify(b.entries)
+
+
+# Tuple-level moves.  Each assumes its argument lies in the move's domain;
+# the public functions below check the domain and validate the result.
+def _swap(entries: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    out = list(entries)
+    out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
+    return tuple(out)
+
+
+def _phi(entries: Sequence[int]) -> tuple[int, ...]:
+    j = _epsilon(entries)
+    return _swap(entries, j, j + 1)
+
+
+def _psi(entries: Sequence[int], d: int) -> tuple[int, ...]:
+    return _swap(entries, d - 1, len(entries) - entries[::-1].index(-1))
+
+
+def _psi_inverse(entries: Sequence[int], d: int) -> tuple[int, ...]:
+    return _swap(entries, d - 1, entries.index(1, d) + 1)
 
 
 def phi(b: BallotSequence) -> BallotSequence:
@@ -223,12 +248,9 @@ def phi(b: BallotSequence) -> BallotSequence:
     >>> str(phi(parse_ballot("+-+")))
     '++-'
     """
-    j = _epsilon(b.entries)
-    if j == 0:
+    if _epsilon(b.entries) == 0:
         raise NotInDomain(f"phi undefined: epsilon = 0 for {b}")
-    entries = list(b.entries)
-    entries[j - 1], entries[j] = entries[j], entries[j - 1]
-    return BallotSequence(tuple(entries))
+    return BallotSequence(_phi(b.entries))
 
 
 def psi(b: BallotSequence, d: int) -> BallotSequence:
@@ -249,20 +271,13 @@ def psi(b: BallotSequence, d: int) -> BallotSequence:
         raise NotInDomain(f"psi requires delta = {d}, got {_delta(entries)} for {b}")
     if d % 2 == 0 or d < 3:
         raise NotInDomain(f"psi requires an odd target descent >= 3, got {d}")
-    if sum(1 for e in entries if e < 0) % 2:
+    if entries.count(-1) % 2:
         # With an odd number of -1 entries the trailing -1 run ends at an
         # even position and the exchange drives a prefix sum negative.
         raise NotInDomain(f"psi requires an even number of -1 entries in {b}")
-    j = 0
-    for i in range(len(entries), 0, -1):
-        if entries[i - 1] < 0:
-            j = i
-            break
-    if j <= d + 1:
+    if -1 not in entries[d + 1:]:
         raise NotInDomain(f"psi requires a -1 beyond position {d + 1} in {b}")
-    out = list(entries)
-    out[d - 2], out[j - 1] = out[j - 1], out[d - 2]
-    return BallotSequence(tuple(out))
+    return BallotSequence(_psi(entries, d))
 
 
 def psi_inverse(b: BallotSequence, d: int) -> BallotSequence:
@@ -276,19 +291,11 @@ def psi_inverse(b: BallotSequence, d: int) -> BallotSequence:
     '+++--'
     """
     entries = b.entries
-    if classify(b).tag is not BallotClassTag.B_STAR:
-        raise NotInDomain(
-            f"psi_inverse requires class B*, got {classify(b).label} for {b}"
-        )
+    cls = _classify(entries)
+    if cls.tag is not BallotClassTag.B_STAR:
+        raise NotInDomain(f"psi_inverse requires class B*, got {cls.label} for {b}")
     if _delta(entries) != d:
         raise NotInDomain(f"psi_inverse requires delta = {d}, got {_delta(entries)} for {b}")
-    j = 0
-    for i in range(d + 1, len(entries) + 1):
-        if entries[i - 1] > 0:
-            j = i
-            break
-    if j == 0:
+    if 1 not in entries[d:]:
         raise NotInDomain(f"psi_inverse requires a +1 beyond position {d} in {b}")
-    out = list(entries)
-    out[d - 2], out[j - 1] = out[j - 1], out[d - 2]
-    return BallotSequence(tuple(out))
+    return BallotSequence(_psi_inverse(entries, d))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from .ballots import (
     BallotClassTag,
-    BallotSequence,
+    _classify,
     ballot_sign,
     classify,
     delta,
@@ -60,7 +61,7 @@ from .enumeration import (
     signed_polynomial,
 )
 from .errors import UnknownIdentity
-from .involutions import capital_phi, capital_psi, ldes_lind_bijection, ldes_lind_inverse
+from .involutions import _outcome, _phi_pair, _psi_pair, ldes_lind_bijection, ldes_lind_inverse
 from .matching import _region_counts, _second_row_sum, match_pairs, sign_by_srs
 from .permutations import (
     Permutation,
@@ -289,10 +290,11 @@ def _tally_phi_involution(n: int, perms) -> tuple:
     bad = _Violations()
     fixed_by_k: Counter[int] = Counter()
     for w in perms:
-        out = capital_phi(w)
+        p, q = _rsk_ballots(w.values)
+        out = _outcome(w, *_phi_pair(p, q))
         k = lis_oracle(w)
         bad.hit(lis_oracle(out.image) == k, w)
-        bad.hit(capital_phi(out.image).image == w, w)
+        bad.hit(_phi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
         bad.hit(out.fixed == (out.image == w), w)
         if out.fixed:
             fixed_by_k[k] += 1
@@ -321,7 +323,7 @@ def _tally_lemma4_2(n: int, perms) -> tuple:
         p, q = _rsk_ballots(w.values)
         if any(p[i - 1] != p[i] for i in range(2, n, 2)):
             continue
-        q_cls = classify(BallotSequence(q))
+        q_cls = _classify(q)
         if q_cls.tag is BallotClassTag.B:
             continue
         d = ldes(w)
@@ -366,11 +368,12 @@ def _tally_prop4_3(n: int, perms) -> tuple:
     bad = _Violations()
     observed: Counter[int] = Counter()
     for w in perms:
-        out = capital_psi(w)
+        p, q = _rsk_ballots(w.values)
+        out = _outcome(w, *_psi_pair(p, q))
         k = lis_oracle(w)
         d = ldes(w)
         s = sign_by_inversions(w)
-        bad.hit(capital_psi(out.image).image == w, w)
+        bad.hit(_psi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
         bad.hit(lis_oracle(out.image) == k, w)
         bad.hit(ldes(out.image) == d, w)
         bad.hit(out.fixed == (out.image == w), w)
@@ -587,7 +590,11 @@ def _check_sizes(identity: str, sizes: list[int], workers: int) -> list[Identity
     tasks = _tasks(identity, sizes, workers)
     run = partial(_run_task, identity)
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        # Fork where the platform can, whatever the default start method:
+        # forked workers see this module as patched; forkserver re-imports it.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context) as pool:
             return _judged(identity, tasks, pool.map(run, *zip(*tasks)))
     return _judged(identity, tasks, map(run, *zip(*tasks)))
 

@@ -10,29 +10,22 @@ and reverses the sign off its fixed points.
 the recording side is swapped only in class B, and the A*/B*+ cases go
 through the descent-preserving exchange (forward on A*, inverse on B*+).
 
+Both maps act on the ballot pair (p, q) of a permutation: ``_phi_pair`` and
+``_psi_pair`` map the pair of tuples to (branch, p', q'), and internal sweeps
+call them directly.  Only the public maps validate: row insertion rejects a
+321 pattern, and the image is built once, as a ``Permutation``.
+
 ``ldes_lind_bijection`` is the delete/reinsert map sending the maximum
 descent d to the position d + 1 of the largest letter.  The d = 0 case
 inserts the largest letter at position 1; together with the inverse below,
 this is the unique reading under which the map is a bijection (checked
 exhaustively in the test suite).
-
-Every map materializes its image through reverse row insertion; ballot
-edits never touch the permutation word directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ballots import (
-    BallotClassTag,
-    BallotSequence,
-    classify,
-    epsilon,
-    ones_count,
-    phi,
-    psi,
-    psi_inverse,
-)
+from .ballots import BallotClassTag, _classify, _delta, _epsilon, _phi, _psi, _psi_inverse
 from .errors import Not321Avoiding
 from .permutations import Permutation, _is_321_avoiding, _ldes, ldes, lind
 from .tableaux import _rsk_ballots, _values_from_ballots
@@ -59,48 +52,50 @@ class MapOutcome:
     branch: str
 
 
-def _ballot_pair(w: Permutation) -> tuple[BallotSequence, BallotSequence]:
-    p, q = _rsk_ballots(w.values)
-    return BallotSequence(p), BallotSequence(q)
+def _phi_pair(p: tuple[int, ...], q: tuple[int, ...]) -> tuple:
+    if _epsilon(p) > 0:
+        return "P-side", _phi(p), q
+    if _epsilon(q) > 0:
+        return "Q-side", p, _phi(q)
+    return "fixed", p, q
 
 
-def _materialize(p: BallotSequence, q: BallotSequence) -> Permutation:
-    return Permutation(_values_from_ballots(p.entries, q.entries))
+def _psi_pair(p: tuple[int, ...], q: tuple[int, ...]) -> tuple:
+    # delta(q) is the maximum descent of the word, and p and q have the same
+    # number of -1 entries.
+    if _epsilon(p) > 0:
+        return "P-side", _phi(p), q
+    q_class = _classify(q)
+    if q_class.tag is BallotClassTag.B:
+        return "Q-phi", p, _phi(q)
+    d = _delta(q)
+    if q.count(-1) % 2 == 0 and d % 2 == 1:
+        if q_class.tag is BallotClassTag.A_STAR:
+            return "Q-psi-forward", p, _psi(q, d)
+        if q_class.tag is BallotClassTag.B_STAR and q_class.ends_plus:
+            return "Q-psi-inverse", p, _psi_inverse(q, d)
+    return "fixed", p, q
+
+
+def _outcome(w: Permutation, branch: str, p: tuple[int, ...], q: tuple[int, ...]) -> MapOutcome:
+    """The outcome of a core's result on w, with the image materialized."""
+    if branch == "fixed":
+        return MapOutcome(w, True, branch)
+    return MapOutcome(Permutation(_values_from_ballots(p, q)), False, branch)
 
 
 def capital_phi(w: Permutation) -> MapOutcome:
     """Sign-reversing involution preserving the longest increasing
     subsequence length."""
-    p, q = _ballot_pair(w)
-    if epsilon(p) > 0:
-        image = _materialize(phi(p), q)
-        return MapOutcome(image, False, "P-side")
-    if epsilon(q) > 0:
-        image = _materialize(p, phi(q))
-        return MapOutcome(image, False, "Q-side")
-    return MapOutcome(w, True, "fixed")
+    return _outcome(w, *_phi_pair(*_rsk_ballots(w.values)))
 
 
 def capital_psi(w: Permutation) -> MapOutcome:
     """Sign-reversing involution preserving both the longest increasing
-    subsequence length and the maximum descent."""
-    p, q = _ballot_pair(w)
-    n = w.n
-    k = ones_count(p)
-    d = ldes(w)
-    if epsilon(p) > 0:
-        return MapOutcome(_materialize(phi(p), q), False, "P-side")
-    q_class = classify(q)
-    if q_class.tag is BallotClassTag.B:
-        return MapOutcome(_materialize(p, phi(q)), False, "Q-phi")
-    if (n - k) % 2 == 0 and d % 2 == 1:
-        if q_class.tag is BallotClassTag.A_STAR:
-            return MapOutcome(_materialize(p, psi(q, d)), False, "Q-psi-forward")
-        if q_class.tag is BallotClassTag.B_STAR and q_class.ends_plus:
-            return MapOutcome(
-                _materialize(p, psi_inverse(q, d)), False, "Q-psi-inverse"
-            )
-    return MapOutcome(w, True, "fixed")
+    subsequence length and the maximum descent.  It acts on the ballot pair
+    of w and validates only here: the input by row insertion, the image as a
+    ``Permutation``."""
+    return _outcome(w, *_psi_pair(*_rsk_ballots(w.values)))
 
 
 def ldes_lind_bijection(w: Permutation) -> Permutation:
@@ -141,8 +136,9 @@ def fixed_points_of(which: str, n: int, allow_large: bool = False) -> list[Permu
     321-avoiding permutations of size n, in enumeration order."""
     from .enumeration import generate_Tn_ballot
 
-    maps = {"Phi": capital_phi, "Psi": capital_psi}
-    if which not in maps:
+    cores = {"Phi": _phi_pair, "Psi": _psi_pair}
+    if which not in cores:
         raise ValueError(f"unknown map {which!r}, expected 'Phi' or 'Psi'")
-    apply_map = maps[which]
-    return [w for w in generate_Tn_ballot(n, allow_large) if apply_map(w).fixed]
+    core = cores[which]
+    tn = generate_Tn_ballot(n, allow_large)
+    return [w for w in tn if core(*_rsk_ballots(w.values))[0] == "fixed"]

@@ -173,6 +173,8 @@ class TestPsi:
             psi(parse_ballot("+++---"), 3)  # odd number of -1 entries
         with pytest.raises(NotInDomain):
             psi_inverse(parse_ballot("+++--"), 3)  # class A*, not B*
+        with pytest.raises(NotInDomain):
+            psi_inverse(parse_ballot("+-+-"), 3)  # no +1 beyond position d
 
     def test_round_trip_and_sign_reversal_exhaustive(self):
         # Every epsilon-free sequence with odd delta >= 3, an even number of

@@ -1,5 +1,6 @@
 """The verification driver: labels, reports, and output formats."""
 import json
+import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -233,8 +234,9 @@ def test_sweep_labels_match_registry():
 @pytest.mark.parametrize("label", SWEEP_LABELS)
 def test_worker_count_never_changes_a_report(monkeypatch, label, faulted):
     # With a fault the merged violation counts and the first witness must
-    # still match the serial report.  Worker processes are forked, so they
-    # see the patched dependency.
+    # still match the serial report.  Worker processes are forked wherever
+    # the platform can fork, so they see the patched dependency whatever the
+    # default start method (see the forkserver test below).
     if faulted:
         name, fault, _elementwise = _INJECTED_FAULTS[label]
         monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
@@ -242,6 +244,24 @@ def test_worker_count_never_changes_a_report(monkeypatch, label, faulted):
     assert ('"pass": false' in serial) == faulted
     for workers in (2, 3, os.cpu_count()):
         assert report_json(verify(label, 8, workers=workers)) == serial, workers
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="the forkserver start method is not available",
+)
+def test_workers_see_patched_dependency_under_forkserver_default(monkeypatch):
+    # forkserver workers re-import the package and would miss the fault.
+    name, fault, _elementwise = _INJECTED_FAULTS["prop4.3"]
+    monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    serial = report_json(verify("prop4.3", 8))
+    assert '"pass": false' in serial
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        assert report_json(verify("prop4.3", 8, workers=2)) == serial
+    finally:
+        multiprocessing.set_start_method(default, force=True)
 
 
 def test_largest_size_split_across_workers_matches_serial():

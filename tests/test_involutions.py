@@ -1,7 +1,10 @@
 """The permutation-level maps: branches, fixed points, delete/reinsert."""
+from collections import Counter
+
 import pytest
 
 from signbalance321 import (
+    BallotSequence,
     Not321Avoiding,
     Permutation,
     capital_phi,
@@ -91,6 +94,36 @@ class TestCapitalPsi:
                 assert ldes(out.image) == ldes(w)
                 if not out.fixed:
                     assert sign_by_inversions(out.image) == -sign_by_inversions(w)
+
+
+# Exact branch histograms over T_9 and T_10, in branch order.
+BRANCH_COUNTS = {
+    (capital_phi, 9): (4696, 152, 14),
+    (capital_psi, 9): (4696, 126, 13, 13, 14),
+    (capital_phi, 10): (16192, 576, 28),
+    (capital_psi, 10): (16192, 494, 13, 13, 84),
+}
+
+
+@pytest.mark.parametrize("apply_map, n", BRANCH_COUNTS)
+def test_branch_histograms(apply_map, n):
+    branches = PHI_BRANCHES if apply_map is capital_phi else PSI_BRANCHES
+    counts = Counter(apply_map(w).branch for w in generate_Tn_ballot(n))
+    assert tuple(counts[b] for b in branches) == BRANCH_COUNTS[apply_map, n]
+    assert sum(counts.values()) == sum(BRANCH_COUNTS[apply_map, n])
+
+
+def test_maps_validate_only_at_the_boundary(monkeypatch):
+    # The maps act on plain ballot tuples: no BallotSequence is built.
+    words = [w for n in range(8) for w in generate_Tn_ballot(n)]
+
+    def refuse(self):
+        raise AssertionError(f"BallotSequence built: {self.entries}")
+
+    monkeypatch.setattr(BallotSequence, "__post_init__", refuse)
+    for w in words:
+        capital_phi(w)
+        capital_psi(w)
 
 
 class TestFixedPoints:
