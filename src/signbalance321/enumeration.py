@@ -19,10 +19,8 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from itertools import permutations as _sym_group
 from math import comb
 from typing import Iterator, Mapping
@@ -152,54 +150,27 @@ def generate_Tn_filter(n: int, allow_large: bool = False) -> Iterator[Permutatio
             yield Permutation(values)
 
 
-def _insertion_weights(n: int) -> list[int]:
-    """Per insertion-side ballot of length n, in enumeration order, the
-    number of permutations of T_n it stands for: the ballots of its weight."""
-    weights: list[int] = []
-    for k in range(n + 1):
-        weights += [ballot_number(n, k)] * ballot_number(n, k)
-    return weights
-
-
-def _tn_slices(n: int, parts: int) -> list[tuple[int, int]]:
-    """Cut T_n into at most ``parts`` nonempty, contiguous slices of roughly
-    equal size.
-
-    A slice is a range [start, stop) of insertion-side ballots, counted in
-    enumeration order across all weights.
-    """
-    cumulative = list(accumulate(_insertion_weights(n)))
-    parts = max(1, min(parts, len(cumulative)))
-    total = cumulative[-1]
-    bounds = [0]
-    for j in range(1, parts):
-        # End the j-th slice at the first insertion side whose running count
-        # reaches j/parts of T_n, leaving one side for each later slice.
-        stop = bisect_left(cumulative, -(-j * total // parts)) + 1
-        bounds.append(min(max(stop, bounds[-1] + 1), len(cumulative) - parts + j))
-    bounds.append(len(cumulative))
-    return list(zip(bounds, bounds[1:]))
-
-
 def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """One-line value tuples of the permutations of T_n whose insertion-side
-    ballot is the start-th up to (not including) the stop-th, in enumeration
-    order."""
-    offset = 0
+    """One-line value tuples of the permutations of T_n at positions start
+    up to (not including) stop of the enumeration, in enumeration order."""
+    position = 0  # enumeration position of the current weight's first pair
     for k in range(n + 1):
         count = ballot_number(n, k)
-        if offset < stop and start < offset + count:
+        if start < position + count * count:
             side = list(_iter_ballot_tuples(n, k))
-            for p in side[max(start - offset, 0):stop - offset]:
-                for q in side:
-                    yield _values_from_ballots(p, q)
-        offset += count
+            for i in range(max(start - position, 0) // count, count):
+                first = position + i * count  # position of (side[i], side[0])
+                if first >= stop:
+                    return
+                for q in side[max(start - first, 0):stop - first]:
+                    yield _values_from_ballots(side[i], q)
+        position += count * count
 
 
 def _iter_tn_values(n: int) -> Iterator[tuple[int, ...]]:
     """One-line value tuples of all 321-avoiding permutations of size n, in
     ballot-pair order (weight ascending, insertion side outer)."""
-    return _iter_tn_slice(n, 0, len(_insertion_weights(n)))
+    return _iter_tn_slice(n, 0, catalan(n))
 
 
 def generate_Tn_ballot(n: int, allow_large: bool = False) -> Iterator[Permutation]:

@@ -16,12 +16,11 @@ alongside whatever aggregate values make the comparison auditable.
 
 Elementwise claims that sweep T_n are registered as a ``_Sweep``: a tally
 over one slice of T_n and a finish that runs once per size.  ``verify``
-cuts each T_n into contiguous slices of the enumeration, along the
-insertion-side ballot, and with several workers checks the slices in worker
-processes.  Tallies add up slice by slice in enumeration order, keeping the
-first witness, so the report is ordered by size and identical for any
-worker count.  With one worker each size is a single slice, checked in this
-process.
+cuts each T_n into runs of ``_SLICE`` permutations of the enumeration, the
+same for any worker count, which worker processes (at most one per CPU)
+check when there are several workers.  Tallies add up slice by slice in
+enumeration order, keeping the first witness, so the report is ordered by
+size and identical for any worker count.
 """
 from __future__ import annotations
 
@@ -29,16 +28,19 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby
+from operator import add, ior
 from typing import Callable, NamedTuple
 
 from .ballots import (
     BallotClassTag,
     _classify,
+    _epsilon,
     ballot_sign,
     classify,
     delta,
@@ -52,7 +54,6 @@ from .enumeration import (
     _check_ballot_cap,
     _iter_tn_slice,
     _joint_rows,
-    _tn_slices,
     a_star_count,
     ballot_number,
     catalan,
@@ -321,7 +322,7 @@ def _tally_lemma4_2(n: int, perms) -> tuple:
     # sequence is in A* and whose recording side avoids class B.
     for w in perms:
         p, q = _rsk_ballots(w.values)
-        if any(p[i - 1] != p[i] for i in range(2, n, 2)):
+        if _epsilon(p):
             continue
         q_cls = _classify(q)
         if q_cls.tag is BallotClassTag.B:
@@ -550,27 +551,22 @@ def _applicable(identity: str, n_max: int) -> list[int]:
     return sizes
 
 
-# Slices per worker: enough that the slices still running when the others
-# are done are short.
-_SLICES_PER_WORKER = 4
+# Permutations per slice of a T_n sweep (sizes up to 9 are one slice): 4096
+# and 8192 raised the peak memory of serial sweeps, 1024 that of two workers.
+_SLICE = 16384
 
 
-def _tasks(identity: str, sizes: list[int], workers: int) -> list[tuple]:
-    """(n, slice) tasks in enumeration order.
-
-    A sweep claim cuts each T_n into slices by its share of all the
-    permutations visited, about _SLICES_PER_WORKER slices per worker in all,
-    and into one slice when there is one worker.  Any other claim runs each
-    size whole (slice None).
-    """
+def _tasks(identity: str, sizes: list[int]) -> list[tuple]:
+    """(n, bounds) tasks in enumeration order: a sweep claim's T_n in runs
+    [start, stop) of _SLICE enumeration positions (the last may be shorter),
+    any other claim's sizes whole (bounds None)."""
     if not isinstance(_REGISTRY[identity].checker, _Sweep):
         return [(n, None) for n in sizes]
-    total = sum(catalan(n) for n in sizes)
-    tasks = []
-    for n in sizes:
-        parts = 1 if workers == 1 else -(-_SLICES_PER_WORKER * workers * catalan(n) // total)
-        tasks += [(n, bounds) for bounds in _tn_slices(n, parts)]
-    return tasks
+    return [
+        (n, (start, min(start + _SLICE, catalan(n))))
+        for n in sizes
+        for start in range(0, catalan(n), _SLICE)
+    ]
 
 
 def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
@@ -581,20 +577,22 @@ def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
 
 
 def _merged(earlier: tuple, later: tuple) -> tuple:
-    return tuple(a | b if isinstance(a, set) else a + b for a, b in zip(earlier, later))
+    # Sets grow in place: a sweep's image set is as large as T_n.
+    return tuple((ior if isinstance(a, set) else add)(a, b) for a, b in zip(earlier, later))
 
 
 def _check_sizes(identity: str, sizes: list[int], workers: int) -> list[IdentityCheck]:
     """Run the tasks of every size, on worker processes when there are
     several workers, and judge each size once its slices are merged."""
-    tasks = _tasks(identity, sizes, workers)
+    tasks = _tasks(identity, sizes)
     run = partial(_run_task, identity)
-    if workers > 1 and len(tasks) > 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
         # Fork where the platform can, whatever the default start method:
         # forked workers see this module as patched; forkserver re-imports it.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context) as pool:
+        with ProcessPoolExecutor(processes, mp_context=context) as pool:
             return _judged(identity, tasks, pool.map(run, *zip(*tasks)))
     return _judged(identity, tasks, map(run, *zip(*tasks)))
 
@@ -636,12 +634,12 @@ def verify(
 ) -> VerificationReport:
     """Verify the labelled identity at every applicable size up to n_max.
 
-    Each T_n sweep is cut into contiguous slices of the enumeration, which
-    worker processes check when ``workers`` > 1; the slices' tallies are
-    merged in enumeration order, so the report is identical for any worker
-    count.  Raises ValueError when no size applies (n_max below the label's
-    first size) or when fewer than one worker is asked for, so that no
-    report can pass over zero checks.
+    Each T_n sweep is cut into the same runs of ``_SLICE`` permutations
+    for any worker count, checked by up to ``workers`` processes, one per
+    CPU at most; their tallies merge in enumeration order, so the report is
+    identical for any worker count.  Raises ValueError when no size applies
+    (n_max below the label's first size) or when fewer than one worker is
+    asked for, so that no report can pass over zero checks.
     """
     sizes = _applicable(identity, n_max)
     if workers < 1:

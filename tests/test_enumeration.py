@@ -14,7 +14,9 @@ from signbalance321 import (
     signed_distribution,
     signed_polynomial,
 )
-from signbalance321.enumeration import _iter_tn_slice, _iter_tn_values, _tn_slices
+from signbalance321.ballots import _iter_ballot_tuples
+from signbalance321.enumeration import _iter_tn_slice, _iter_tn_values
+from signbalance321.tableaux import _values_from_ballots
 
 
 class TestBallotNumber:
@@ -105,20 +107,28 @@ class TestGenerators:
             next(gen)
 
     def test_slices_partition_enumeration(self):
-        # Slices concatenated in order are the whole enumeration, none is
-        # empty, and none exceeds an equal share by more than one insertion
-        # side's worth of permutations.
+        # The whole enumeration is catalan(n) distinct words in ballot-pair
+        # order: weight ascending, insertion side outer, recording side
+        # inner.  Runs of any fixed length concatenated in order are the
+        # whole enumeration, none is empty, and each yields exactly
+        # stop - start words.
         for n in range(11):
             whole = list(_iter_tn_values(n))
-            insertion_sides = sum(ballot_number(n, k) for k in range(n + 1))
-            widest = max(ballot_number(n, k) for k in range(n + 1))
-            for parts in (1, 2, 3, 7, 16, 1000):
-                slices = [list(_iter_tn_slice(n, *b)) for b in _tn_slices(n, parts)]
-                assert len(slices) == min(parts, insertion_sides)
-                assert [v for s in slices for v in s] == whole
-                assert all(slices)
-                if parts <= insertion_sides // 2:
-                    assert max(map(len, slices)) <= -(-len(whole) // parts) + widest
+            assert len(set(whole)) == len(whole) == catalan(n)
+            sides = [list(_iter_ballot_tuples(n, k)) for k in range(n + 1)]
+            assert whole == [
+                _values_from_ballots(p, q) for side in sides for p in side for q in side
+            ]
+            assert whole == [w.values for w in generate_Tn_ballot(n)]
+            for length in (1, 2, 3, 7, 100, 4096, catalan(n) + 1):
+                bounds = [
+                    (start, min(start + length, catalan(n)))
+                    for start in range(0, catalan(n), length)
+                ]
+                runs = [list(_iter_tn_slice(n, *b)) for b in bounds]
+                assert [v for run in runs for v in run] == whole
+                for run, (start, stop) in zip(runs, bounds):
+                    assert len(run) == stop - start > 0
 
 
 class TestSignedDistribution:

@@ -209,8 +209,8 @@ def test_no_check_passes_vacuously(monkeypatch, label):
         assert failure.counterexample is not None
 
 
-# Claims checked by a sweep over T_n: verify cuts each size into slices that
-# worker processes check.
+# Claims checked by a sweep over T_n: verify cuts each size into fixed runs
+# of the enumeration that worker processes check.
 SWEEP_LABELS = (
     "prop2.1",
     "lemma2.2",
@@ -244,6 +244,39 @@ def test_worker_count_never_changes_a_report(monkeypatch, label, faulted):
     assert ('"pass": false' in serial) == faulted
     for workers in (2, 3, os.cpu_count()):
         assert report_json(verify(label, 8, workers=workers)) == serial, workers
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_slicing_never_changes_a_report(monkeypatch, label, faulted):
+    # No size up to 9 is split at the default slice length, so shorter
+    # slices make every size from 4 on merge many tallies, in this process
+    # and across workers; the first witness must still be the serial one.
+    if faulted:
+        name, fault, _elementwise = _INJECTED_FAULTS[label]
+        monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    serial = report_json(verify(label, 8))
+    monkeypatch.setattr(identities, "_SLICE", 5)
+    for workers in (1, 2):
+        assert report_json(verify(label, 8, workers=workers)) == serial, workers
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # Asking for more workers than CPUs starts at most one process per CPU.
+    cpus = os.cpu_count() or 1
+    real = identities.ProcessPoolExecutor
+    asked = []
+
+    def bounded(max_workers, **kwargs):
+        asked.append(max_workers)
+        if max_workers > cpus:
+            raise AssertionError(f"{max_workers} worker processes on {cpus} CPUs")
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", bounded)
+    serial = report_json(verify("prop2.1", 9))
+    assert report_json(verify("prop2.1", 9, workers=cpus + 3)) == serial
+    assert len(asked) == (1 if cpus > 1 else 0)
 
 
 @pytest.mark.skipif(
