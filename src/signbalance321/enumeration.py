@@ -314,7 +314,7 @@ def signed_polynomial(
     ``statistics`` is "lis", "ldes", or the pair ("lis", "ldes").  The
     parity filters restrict the summation to permutations whose statistic
     has the given parity (0 even, 1 odd), which realizes the filtered
-    subsets used by the joint identities.
+    subsets used by the joint identities; any other value raises ValueError.
     """
     if isinstance(statistics, str):
         statistics = (statistics,)
@@ -323,6 +323,9 @@ def signed_polynomial(
         raise ValueError(
             f"statistics must be ('lis',), ('ldes',) or ('lis', 'ldes'), got {statistics!r}"
         )
+    for name, parity in (("lis_parity", lis_parity), ("ldes_parity", ldes_parity)):
+        if parity not in (None, 0, 1):
+            raise ValueError(f"{name} must be None, 0 or 1, got {parity!r}")
     _check_ballot_cap(n, allow_large)
     terms: dict[tuple[int, ...], int] = {}
     for k, d, _l, s, count in _joint_rows(n):

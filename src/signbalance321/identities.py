@@ -14,13 +14,16 @@ identities) compare left- and right-hand polynomials; elementwise claims put
 their violation count on the left against an expected zero on the right,
 alongside whatever aggregate values make the comparison auditable.
 
-Elementwise claims that sweep T_n are registered as a ``_Sweep``: a tally
-over one slice of T_n and a finish that runs once per size.  ``verify``
-cuts each T_n into runs of ``_SLICE`` permutations of the enumeration, the
-same for any worker count, which worker processes (at most one per CPU)
-check when there are several workers.  Tallies add up slice by slice in
-enumeration order, keeping the first witness, so the report is ordered by
-size and identical for any worker count.
+Elementwise claims that sweep T_n are registered as a ``_Sweep``: a step
+that checks one permutation and a finish that runs once per size.
+``verify`` cuts each T_n into runs of ``_SLICE`` permutations of the
+enumeration, the same for any worker count, which worker processes (at most
+one per CPU) check when there are several workers.  ``_run_task`` holds the
+one loop over a run: it feeds each permutation to the step, which records
+violations in a ``_Violations`` and what the size-wide checks need in a
+``Counter``.  These add up run by run in enumeration order, keeping the
+first witness, so the report is ordered by size and identical for any
+worker count.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby
-from operator import add, ior
 from typing import Callable, NamedTuple
 
 from .ballots import (
@@ -131,7 +133,7 @@ class _Violations:
         self.witness = witness
 
     def __add__(self, later: "_Violations") -> "_Violations":
-        # Tallies of consecutive slices: the earlier slice's witness wins.
+        # Violations of consecutive runs: the earlier run's witness wins.
         witness = self.witness if self.witness is not None else later.witness
         return _Violations(self.count + later.count, witness)
 
@@ -209,54 +211,41 @@ def _check_eo_identities(n: int) -> _Compared:
     return _strip_zeros(observed), _strip_zeros(expected), None
 
 
-def _tally_prop2_1(n: int, perms) -> tuple:
-    bad = _Violations()
-    even_srs = odd_srs = even_inv = odd_inv = 0
-    for w in perms:
-        s_tab = sign_by_srs(w)
-        s_inv = sign_by_inversions(w)
-        if s_tab > 0:
-            even_srs += 1
-        else:
-            odd_srs += 1
-        if s_inv > 0:
-            even_inv += 1
-        else:
-            odd_inv += 1
-        bad.hit(s_tab == s_inv, w)
-    return bad, even_srs, odd_srs, even_inv, odd_inv
+def _step_prop2_1(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    s_tab = sign_by_srs(w)
+    s_inv = sign_by_inversions(w)
+    seen["srs", s_tab] += 1
+    seen["inv", s_inv] += 1
+    bad.hit(s_tab == s_inv, w)
 
 
-def _finish_prop2_1(n, bad, even_srs, odd_srs, even_inv, odd_inv) -> _Compared:
+def _finish_prop2_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
     return bad.compared(
-        {"even": even_srs, "odd": odd_srs}, {"even": even_inv, "odd": odd_inv}
+        {"even": seen["srs", 1], "odd": seen["srs", -1]},
+        {"even": seen["inv", 1], "odd": seen["inv", -1]},
     )
 
 
-def _tally_lemma2_2(n: int, perms) -> tuple:
-    bad = _Violations()
-    inv_total = 0
-    decomposed_total = 0
-    for w in perms:
-        c_sum = 0
-        for i, j in match_pairs(w).pairs:
-            rc = _region_counts(w.values, i, j)
-            vi = w.values[i - 1]
-            bad.hit(rc.c1 == 0, w)
-            bad.hit((rc.c - (vi + j)) % 2 == 0, w)
-            bad.hit(rc.c2 + rc.c3 + 2 * rc.c4 == (n - vi) + (n - j), w)
-            c_sum += rc.c
-        inv = inversion_count(w)
-        decomposition = c_sum + (n - lis_oracle(w))
-        bad.hit(inv == decomposition, w)
-        inv_total += inv
-        decomposed_total += decomposition
-    return bad, inv_total, decomposed_total
+def _step_lemma2_2(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    c_sum = 0
+    for i, j in match_pairs(w).pairs:
+        rc = _region_counts(w.values, i, j)
+        vi = w.values[i - 1]
+        bad.hit(rc.c1 == 0, w)
+        bad.hit((rc.c - (vi + j)) % 2 == 0, w)
+        bad.hit(rc.c2 + rc.c3 + 2 * rc.c4 == (n - vi) + (n - j), w)
+        c_sum += rc.c
+    inv = inversion_count(w)
+    decomposition = c_sum + (n - lis_oracle(w))
+    bad.hit(inv == decomposition, w)
+    seen["inversions"] += inv
+    seen["decomposed"] += decomposition
 
 
-def _finish_lemma2_2(n, bad, inv_total, decomposed_total) -> _Compared:
+def _finish_lemma2_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
     return bad.compared(
-        {"inversion_total": inv_total}, {"inversion_total": decomposed_total}
+        {"inversion_total": seen["inversions"]},
+        {"inversion_total": seen["decomposed"]},
     )
 
 
@@ -287,62 +276,51 @@ def _check_prop3_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _tally_phi_involution(n: int, perms) -> tuple:
-    bad = _Violations()
-    fixed_by_k: Counter[int] = Counter()
-    for w in perms:
-        p, q = _rsk_ballots(w.values)
-        out = _outcome(w, *_phi_pair(p, q))
-        k = lis_oracle(w)
-        bad.hit(lis_oracle(out.image) == k, w)
-        bad.hit(_phi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
-        bad.hit(out.fixed == (out.image == w), w)
-        if out.fixed:
-            fixed_by_k[k] += 1
-            s = sign_by_inversions(w)
-            if n % 2:
-                bad.hit(s == 1, w)
-            else:
-                bad.hit(s == (1 if k % 2 == 0 else -1), w)
+def _step_phi_involution(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    p, q = _rsk_ballots(w.values)
+    out = _outcome(w, *_phi_pair(p, q))
+    k = lis_oracle(w)
+    bad.hit(lis_oracle(out.image) == k, w)
+    bad.hit(_phi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
+    bad.hit(out.fixed == (out.image == w), w)
+    if out.fixed:
+        seen[k] += 1
+        s = sign_by_inversions(w)
+        if n % 2:
+            bad.hit(s == 1, w)
         else:
-            bad.hit(
-                sign_by_inversions(out.image) == -sign_by_inversions(w), w
-            )
-    return bad, fixed_by_k
+            bad.hit(s == (1 if k % 2 == 0 else -1), w)
+    else:
+        bad.hit(sign_by_inversions(out.image) == -sign_by_inversions(w), w)
 
 
-def _finish_phi_involution(n, bad, fixed_by_k) -> _Compared:
+def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared:
+    # seen: fixed points by lis.
     expected = {k: a_star_count(n, k) ** 2 for k in range(n + 1)}
-    return bad.compared(_strip_zeros(fixed_by_k), _strip_zeros(expected))
+    return bad.compared(_strip_zeros(seen), _strip_zeros(expected))
 
 
-def _tally_lemma4_2(n: int, perms) -> tuple:
-    bad = _Violations()
+def _step_lemma4_2(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
     # Elementwise parity claims over the permutations whose insertion-side
     # sequence is in A* and whose recording side avoids class B.
-    for w in perms:
-        p, q = _rsk_ballots(w.values)
-        if _epsilon(p):
-            continue
-        q_cls = _classify(q)
-        if q_cls.tag is BallotClassTag.B:
-            continue
-        d = ldes(w)
-        k = lis_oracle(w)
-        s = sign_by_inversions(w)
-        if d % 2 == 0:
-            bad.hit(s == 1, w)
-        elif n % 2:
-            bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR), w)
-        else:
-            bad.hit(
-                (s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0),
-                w,
-            )
-    return (bad,)
+    p, q = _rsk_ballots(w.values)
+    if _epsilon(p):
+        return
+    q_cls = _classify(q)
+    if q_cls.tag is BallotClassTag.B:
+        return
+    d = ldes(w)
+    k = lis_oracle(w)
+    s = sign_by_inversions(w)
+    if d % 2 == 0:
+        bad.hit(s == 1, w)
+    elif n % 2:
+        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR), w)
+    else:
+        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0), w)
 
 
-def _finish_lemma4_2(n, bad) -> _Compared:
+def _finish_lemma4_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
     # Class-count equalities over the ballot sequences themselves: odd
     # descent, ones of the parity of n, and for even n only B* sequences
     # ending in +1.
@@ -365,36 +343,33 @@ def _finish_lemma4_2(n, bad) -> _Compared:
     )
 
 
-def _tally_prop4_3(n: int, perms) -> tuple:
-    bad = _Violations()
-    observed: Counter[int] = Counter()
-    for w in perms:
-        p, q = _rsk_ballots(w.values)
-        out = _outcome(w, *_psi_pair(p, q))
-        k = lis_oracle(w)
-        d = ldes(w)
-        s = sign_by_inversions(w)
-        bad.hit(_psi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
-        bad.hit(lis_oracle(out.image) == k, w)
-        bad.hit(ldes(out.image) == d, w)
-        bad.hit(out.fixed == (out.image == w), w)
-        if out.fixed:
-            observed[d] += 1
-            bad.hit((s == -1) == (n % 2 == 0 and d % 2 == 1), w)
-        else:
-            bad.hit(sign_by_inversions(out.image) == -s, w)
-    return bad, observed
+def _step_prop4_3(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    p, q = _rsk_ballots(w.values)
+    out = _outcome(w, *_psi_pair(p, q))
+    k = lis_oracle(w)
+    d = ldes(w)
+    s = sign_by_inversions(w)
+    bad.hit(_psi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
+    bad.hit(lis_oracle(out.image) == k, w)
+    bad.hit(ldes(out.image) == d, w)
+    bad.hit(out.fixed == (out.image == w), w)
+    if out.fixed:
+        seen[d] += 1
+        bad.hit((s == -1) == (n % 2 == 0 and d % 2 == 1), w)
+    else:
+        bad.hit(sign_by_inversions(out.image) == -s, w)
 
 
-def _finish_prop4_3(n, bad, observed) -> _Compared:
+def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
+    # seen: fixed points by ldes.
     expected = {d: psi_fixed_point_count(n, d) for d in range(n)}
     if n % 2 == 0:
         for d in range(0, n, 2):
             bad.hit(
-                observed[d] == observed[d + 1],
+                seen[d] == seen[d + 1],
                 f"fixed-point counts at descents {d} and {d + 1} differ",
             )
-    return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
+    return bad.compared(_strip_zeros(seen), _strip_zeros(expected))
 
 
 def _check_cor4_4(n: int) -> _Compared:
@@ -408,27 +383,26 @@ def _check_cor4_4(n: int) -> _Compared:
     return lhs.as_map(), rhs.as_map(), None
 
 
-def _tally_thm5_1(n: int, perms) -> tuple:
-    bad = _Violations()
-    images = set()
-    fiber_lind: Counter[tuple] = Counter()
-    fiber_ldes: Counter[tuple] = Counter()
-    for w in perms:
-        image = ldes_lind_bijection(w)
-        images.add(image.values)
-        bad.hit(_is_321_avoiding(image.values), w)
-        bad.hit(lind(image) == ldes(w) + 1, w)
-        fiber = tuple(i for i in descent_set(inverse(w)) if i <= n - 2)
-        fiber_img = tuple(i for i in descent_set(inverse(image)) if i <= n - 2)
-        bad.hit(fiber == fiber_img, w)
-        bad.hit(ldes_lind_inverse(image) == w, w)
-        fiber_lind[fiber, lind(w)] += 1
-        fiber_ldes[fiber, ldes(w) + 1] += 1
-    return bad, images, fiber_lind, fiber_ldes
+def _step_thm5_1(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    image = ldes_lind_bijection(w)
+    # Images are counted under their bare value tuples, apart from the
+    # tagged fiber keys: a tagged key would add one tuple per permutation.
+    seen[image.values] += 1
+    bad.hit(_is_321_avoiding(image.values), w)
+    bad.hit(lind(image) == ldes(w) + 1, w)
+    fiber = tuple(i for i in descent_set(inverse(w)) if i <= n - 2)
+    fiber_img = tuple(i for i in descent_set(inverse(image)) if i <= n - 2)
+    bad.hit(fiber == fiber_img, w)
+    bad.hit(ldes_lind_inverse(image) == w, w)
+    seen["lind", fiber, lind(w)] += 1
+    seen["ldes", fiber, ldes(w) + 1] += 1
 
 
-def _finish_thm5_1(n, bad, images, fiber_lind, fiber_ldes) -> _Compared:
-    bad.hit(len(images) == catalan(n), f"{len(images)} distinct images")
+def _finish_thm5_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
+    fiber_lind = {key[1:]: c for key, c in seen.items() if key[0] == "lind"}
+    fiber_ldes = {key[1:]: c for key, c in seen.items() if key[0] == "ldes"}
+    images = len(seen) - len(fiber_lind) - len(fiber_ldes)
+    bad.hit(images == catalan(n), f"{images} distinct images")
     # Equidistribution of lind and ldes + 1, jointly with the inverse-descent
     # trace below n - 1.
     bad.hit(fiber_lind == fiber_ldes, "joint fiber distributions differ")
@@ -439,36 +413,34 @@ def _finish_thm5_1(n, bad, images, fiber_lind, fiber_ldes) -> _Compared:
     return bad.compared(_strip_zeros(lhs_counts), _strip_zeros(rhs_counts))
 
 
-def _tally_srs_matching(n: int, perms) -> tuple:
-    bad = _Violations()
-    for w in perms:
-        pairs = match_pairs(w).pairs
-        p, q = _rsk_ballots(w.values)
-        row2_letters = {i for i, e in enumerate(p, 1) if e < 0}
-        row2_positions = {i for i, e in enumerate(q, 1) if e < 0}
-        bad.hit({w.values[i - 1] for i, _ in pairs} == row2_letters, w)
-        bad.hit({j for _, j in pairs} == row2_positions, w)
-        bad.hit(len(pairs) == n - lis_oracle(w), w)
-        pair_total = sum(w.values[i - 1] + j for i, j in pairs)
-        bad.hit(_second_row_sum(p, q) == pair_total, w)
-    return (bad,)
+def _step_srs_matching(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+    pairs = match_pairs(w).pairs
+    p, q = _rsk_ballots(w.values)
+    row2_letters = {i for i, e in enumerate(p, 1) if e < 0}
+    row2_positions = {i for i, e in enumerate(q, 1) if e < 0}
+    bad.hit({w.values[i - 1] for i, _ in pairs} == row2_letters, w)
+    bad.hit({j for _, j in pairs} == row2_positions, w)
+    bad.hit(len(pairs) == n - lis_oracle(w), w)
+    pair_total = sum(w.values[i - 1] + j for i, j in pairs)
+    bad.hit(_second_row_sum(p, q) == pair_total, w)
 
 
-def _finish_srs_matching(n, bad) -> _Compared:
+def _finish_srs_matching(n: int, bad: _Violations, seen: Counter) -> _Compared:
     return bad.compared({}, {})
 
 
 class _Sweep(NamedTuple):
     """A claim checked permutation by permutation over T_n.
 
-    ``tally(n, perms)`` folds one slice of T_n into a tuple of additive
-    tallies (a ``_Violations``, integers, Counters, sets); ``finish(n,
-    *tallies)`` runs the checks that need all of T_n on the tallies of every
-    slice merged in enumeration order.
+    ``step(n, w, bad, seen)`` checks one permutation: it records violations
+    in ``bad`` (a ``_Violations``) and counts in ``seen`` (a ``Counter``)
+    what the size-wide checks need.  ``finish(n, bad, seen)`` runs those
+    checks once ``_run_task`` has stepped through every run of T_n and the
+    runs are merged in enumeration order.
     """
 
-    tally: Callable[..., tuple]
-    finish: Callable[..., _Compared]
+    step: Callable[[int, Permutation, _Violations, Counter], None]
+    finish: Callable[[int, _Violations, Counter], _Compared]
 
 
 class _Claim(NamedTuple):
@@ -484,17 +456,17 @@ _REGISTRY = {
         "signed lis-polynomial of size n telescopes to the unsigned"
         " polynomial of half size (odd n), times (q - 1) for even n"),
     "prop2.1": _Claim(
-        1, _Sweep(_tally_prop2_1, _finish_prop2_1),
+        1, _Sweep(_step_prop2_1, _finish_prop2_1),
         "tableau sign formula agrees with the inversion-count sign"),
     "lemma2.2": _Claim(
-        1, _Sweep(_tally_lemma2_2, _finish_lemma2_2),
+        1, _Sweep(_step_lemma2_2, _finish_lemma2_2),
         "per-pair region counts: parity and inversion decomposition"),
     "prop3.1": _Claim(
         1, _check_prop3_1,
         "ballot swap at epsilon is a sign-reversing involution;"
         " fixed-class counts match the closed form"),
     "phi-involution": _Claim(
-        1, _Sweep(_tally_phi_involution, _finish_phi_involution),
+        1, _Sweep(_step_phi_involution, _finish_phi_involution),
         "the lis-preserving involution on permutations:"
         " involutive, sign-reversing off fixed points, fixed counts squared"),
     "eo-identities": _Claim(
@@ -504,22 +476,22 @@ _REGISTRY = {
         2, _check_thm4_1,
         "signed ldes-polynomial telescopes to half size"),
     "lemma4.2-parity": _Claim(
-        1, _Sweep(_tally_lemma4_2, _finish_lemma4_2),
+        1, _Sweep(_step_lemma4_2, _finish_lemma4_2),
         "parity of sign under the A*/B*/Bx case split, plus"
         " the matching class counts"),
     "prop4.3": _Claim(
-        2, _Sweep(_tally_prop4_3, _finish_prop4_3),
+        2, _Sweep(_step_prop4_3, _finish_prop4_3),
         "the ldes-preserving involution: involutive, sign-reversing"
         " off fixed points, fixed counts per descent match the closed form"),
     "cor4.4": _Claim(
         2, _check_cor4_4,
         "both joint (lis, ldes) identities with the parity filters"),
     "thm5.1": _Claim(
-        1, _Sweep(_tally_thm5_1, _finish_thm5_1),
+        1, _Sweep(_step_thm5_1, _finish_thm5_1),
         "delete/reinsert map is a bijection transporting ldes + 1 to"
         " the position of the largest letter, preserving inverse descents"),
     "srs-matching-consistency": _Claim(
-        1, _Sweep(_tally_srs_matching, _finish_srs_matching),
+        1, _Sweep(_step_srs_matching, _finish_srs_matching),
         "matched letters/positions equal the second"
         " rows; second-row sum equals the matched-pair sum"),
 }
@@ -573,12 +545,18 @@ def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
     checker = _REGISTRY[identity].checker
     if bounds is None:
         return checker(n)
-    return checker.tally(n, map(Permutation, _iter_tn_slice(n, *bounds)))
+    # The one loop over the permutations of a run of T_n.
+    bad, seen = _Violations(), Counter()
+    for values in _iter_tn_slice(n, *bounds):
+        checker.step(n, Permutation(values), bad, seen)
+    return bad, seen
 
 
 def _merged(earlier: tuple, later: tuple) -> tuple:
-    # Sets grow in place: a sweep's image set is as large as T_n.
-    return tuple((ior if isinstance(a, set) else add)(a, b) for a, b in zip(earlier, later))
+    # The counts grow in place: thm5.1 counts every image of T_n.
+    (bad, seen), (later_bad, later_seen) = earlier, later
+    seen.update(later_seen)
+    return bad + later_bad, seen
 
 
 def _check_sizes(identity: str, sizes: list[int], workers: int) -> list[IdentityCheck]:
@@ -599,7 +577,7 @@ def _check_sizes(identity: str, sizes: list[int], workers: int) -> list[Identity
 
 def _judged(identity: str, tasks: list[tuple], results) -> list[IdentityCheck]:
     """Merge each size's results in task order as they arrive and judge the
-    size, so that in this process a size's tallies are released before the
+    size, so that in this process a size's counts are released before the
     next size is swept.
 
     This is the only place a verdict is set, by one rule for every claim:
@@ -636,7 +614,7 @@ def verify(
 
     Each T_n sweep is cut into the same runs of ``_SLICE`` permutations
     for any worker count, checked by up to ``workers`` processes, one per
-    CPU at most; their tallies merge in enumeration order, so the report is
+    CPU at most; their counts merge in enumeration order, so the report is
     identical for any worker count.  Raises ValueError when no size applies
     (n_max below the label's first size) or when fewer than one worker is
     asked for, so that no report can pass over zero checks.

@@ -202,6 +202,13 @@ class TestSignedPolynomial:
         star = signed_polynomial(2, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
         assert star.is_zero()
 
+    def test_parity_filters_reject_other_values(self):
+        # Any other value would match no row and give a silent zero polynomial.
+        for kwargs in ({"lis_parity": 2}, {"ldes_parity": "0"}, {"lis_parity": -1}):
+            name, value = next(iter(kwargs.items()))
+            with pytest.raises(ValueError, match=f"{name} must be None, 0 or 1, got {value!r}"):
+                signed_polynomial(4, ("lis", "ldes"), **kwargs)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             signed_polynomial(3, "lind")

@@ -242,7 +242,9 @@ def test_worker_count_never_changes_a_report(monkeypatch, label, faulted):
         monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
     serial = report_json(verify(label, 8))
     assert ('"pass": false' in serial) == faulted
-    for workers in (2, 3, os.cpu_count()):
+    # The pool is capped at the CPU count: run each distinct pool size once.
+    cpus = os.cpu_count() or 1
+    for workers in sorted({min(w, cpus) for w in (2, 3, cpus)}):
         assert report_json(verify(label, 8, workers=workers)) == serial, workers
 
 
@@ -259,6 +261,46 @@ def test_slicing_never_changes_a_report(monkeypatch, label, faulted):
     monkeypatch.setattr(identities, "_SLICE", 5)
     for workers in (1, 2):
         assert report_json(verify(label, 8, workers=workers)) == serial, workers
+
+
+def _swept(label, n):
+    """The merged violations and counts of one whole T_n sweep."""
+    return identities._run_task(label, n, (0, identities.catalan(n)))
+
+
+def _finish_violations(label, n, seen):
+    bad = identities._Violations()
+    lhs, _rhs, witness = identities._REGISTRY[label].checker.finish(n, bad, seen)
+    return lhs["violations"], witness
+
+
+def test_thm5_1_finish_counts_images_and_fibers():
+    n = 6
+    bad, seen = _swept("thm5.1", n)
+    assert bad.count == 0
+    assert _finish_violations("thm5.1", n, seen.copy()) == (0, None)
+    # One image missing.
+    missing = seen.copy()
+    del missing[next(key for key in missing if not isinstance(key[0], str))]
+    images = identities.catalan(n) - 1
+    assert _finish_violations("thm5.1", n, missing) == (1, f"{images} distinct images")
+    # One fiber count off by one.
+    off = seen.copy()
+    off[next(key for key in off if key[0] == "lind")] += 1
+    count, witness = _finish_violations("thm5.1", n, off)
+    assert count >= 1 and witness == "joint fiber distributions differ"
+
+
+def test_prop4_3_finish_pairs_fixed_counts_at_even_n():
+    n = 6
+    bad, seen = _swept("prop4.3", n)
+    assert bad.count == 0 and seen[0] == seen[1] > 0
+    assert _finish_violations("prop4.3", n, seen.copy()) == (0, None)
+    unpaired = seen.copy()
+    unpaired[0] += 1
+    count, witness = _finish_violations("prop4.3", n, unpaired)
+    assert count >= 1
+    assert witness == "fixed-point counts at descents 0 and 1 differ"
 
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
