@@ -150,6 +150,13 @@ def generate_Tn_filter(n: int, allow_large: bool = False) -> Iterator[Permutatio
             yield Permutation(values)
 
 
+@lru_cache(maxsize=None)
+def _sides(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The ballot tuples of length n with k entries +1, in lexicographic
+    order, listed once per (n, k) rather than once per slice."""
+    return tuple(_iter_ballot_tuples(n, k))
+
+
 def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     """One-line value tuples of the permutations of T_n at positions start
     up to (not including) stop of the enumeration, in enumeration order."""
@@ -157,7 +164,7 @@ def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     for k in range(n + 1):
         count = ballot_number(n, k)
         if start < position + count * count:
-            side = list(_iter_ballot_tuples(n, k))
+            side = _sides(n, k)
             for i in range(max(start - position, 0) // count, count):
                 first = position + i * count  # position of (side[i], side[0])
                 if first >= stop:

@@ -19,7 +19,9 @@ call them directly.  Only the public maps validate: row insertion rejects a
 descent d to the position d + 1 of the largest letter.  The d = 0 case
 inserts the largest letter at position 1; together with the inverse below,
 this is the unique reading under which the map is a bijection (checked
-exhaustively in the test suite).
+exhaustively in the test suite).  Its two directions act on value tuples
+in ``_reinsert`` and ``_reinsert_inverse``, which internal sweeps call
+directly; like Phi and Psi, only the public maps validate.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from .ballots import BallotClassTag, _classify, _delta, _epsilon, _phi, _psi, _psi_inverse
 from .errors import Not321Avoiding
-from .permutations import Permutation, _is_321_avoiding, _ldes, ldes, lind
+from .permutations import Permutation, _is_321_avoiding, _ldes
 from .tableaux import _rsk_ballots, _values_from_ballots
 
 __all__ = [
@@ -98,6 +100,27 @@ def capital_psi(w: Permutation) -> MapOutcome:
     return _outcome(w, *_psi_pair(*_rsk_ballots(w.values)))
 
 
+def _reinsert(values: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(values)
+    rest = list(values)
+    del rest[values.index(n)]
+    rest.insert(_ldes(values), n)
+    return tuple(rest)
+
+
+def _reinsert_inverse(values: tuple[int, ...]) -> tuple[int, ...]:
+    # d is lind - 1: the maximum descent the forward map read.
+    n = len(values)
+    d = values.index(n)
+    rest = list(values)
+    del rest[d]
+    if d == _ldes(rest):
+        rest.append(n)
+    else:
+        rest.insert(d - 1, n)
+    return tuple(rest)
+
+
 def ldes_lind_bijection(w: Permutation) -> Permutation:
     """Delete the largest letter and reinsert it right after position
     ldes(w).  The image has the largest letter at position ldes(w) + 1 and
@@ -106,11 +129,7 @@ def ldes_lind_bijection(w: Permutation) -> Permutation:
         raise ValueError("map undefined for the empty permutation")
     if not _is_321_avoiding(w.values):
         raise Not321Avoiding(f"map is defined on 321-avoiding input: {w}")
-    n = w.n
-    d = ldes(w)
-    rest = [x for x in w.values if x != n]
-    rest.insert(d, n)
-    return Permutation(tuple(rest))
+    return Permutation(_reinsert(w.values))
 
 
 def ldes_lind_inverse(w: Permutation) -> Permutation:
@@ -121,14 +140,7 @@ def ldes_lind_inverse(w: Permutation) -> Permutation:
         raise ValueError("map undefined for the empty permutation")
     if not _is_321_avoiding(w.values):
         raise Not321Avoiding(f"map is defined on 321-avoiding input: {w}")
-    n = w.n
-    d = lind(w) - 1
-    rest = [x for x in w.values if x != n]
-    if d == _ldes(rest):
-        rest.append(n)
-    else:
-        rest.insert(d - 1, n)
-    return Permutation(tuple(rest))
+    return Permutation(_reinsert_inverse(w.values))
 
 
 def fixed_points_of(which: str, n: int, allow_large: bool = False) -> list[Permutation]:

@@ -3,12 +3,14 @@ import json
 import multiprocessing
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from signbalance321 import (
     IDENTITY_LABELS,
+    Permutation,
     UnknownIdentity,
     check_identity_at,
     report_csv,
@@ -16,7 +18,7 @@ from signbalance321 import (
     report_rows,
     verify,
 )
-from signbalance321 import identities
+from signbalance321 import cli, identities
 from signbalance321.enumeration import SignedDistribution, SignedPolynomial
 from signbalance321.identities import IdentityCheck, VerificationReport, applicable_sizes
 
@@ -209,6 +211,21 @@ def test_no_check_passes_vacuously(monkeypatch, label):
         assert failure.counterexample is not None
 
 
+def test_thm5_1_reports_an_image_outside_t_n(monkeypatch):
+    # An image with a 321 pattern is a failing row with a witness (exit 1),
+    # not an invalid input (exit 2).
+    real = identities._reinsert
+    monkeypatch.setattr(
+        identities,
+        "_reinsert",
+        lambda values: (4, 3, 1, 2) if values == (1, 2, 3, 4) else real(values),
+    )
+    failure = verify("thm5.1", 5).first_failure()
+    assert failure.n == 4 and failure.counterexample is not None
+    assert failure.lhs != failure.rhs
+    assert cli.main(["verify", "--identity", "thm5.1", "--n-max", "5"]) == 1
+
+
 # Claims checked by a sweep over T_n: verify cuts each size into fixed runs
 # of the enumeration that worker processes check.
 SWEEP_LABELS = (
@@ -274,16 +291,41 @@ def _finish_violations(label, n, seen):
     return lhs["violations"], witness
 
 
-def test_thm5_1_finish_counts_images_and_fibers():
+@pytest.mark.parametrize("wrong_at", ["w", "image"])
+def test_thm5_1_step_checks_both_inverse_directions(monkeypatch, wrong_at):
+    # An inverse wrong at one word is caught at the one permutation it
+    # concerns: at w itself by the right-inverse (onto) clause, at the image
+    # of w by the left-inverse clause.
+    n = 6
+    w = Permutation((2, 1, 4, 3, 6, 5))
+    target = w.values if wrong_at == "w" else identities._reinsert(w.values)
+    assert target != identities._reinsert(target)
+    real = identities._reinsert_inverse
+    monkeypatch.setattr(
+        identities,
+        "_reinsert_inverse",
+        lambda values: values if values == target else real(values),
+    )
+    bad, seen = identities._Violations(), Counter()
+    identities._REGISTRY["thm5.1"].checker.step(n, w, bad, seen)
+    assert (bad.count, bad.witness) == (1, str(w))
+
+
+def test_thm5_1_sweep_keeps_only_fiber_counts():
+    # At most one key per (statistic, inverse-descent trace below n - 1,
+    # value): the counts do not grow with Catalan(n).
+    n = 8
+    bad, seen = _swept("thm5.1", n)
+    assert bad.count == 0
+    assert {key[0] for key in seen} == {"lind", "ldes"}
+    assert len(seen) <= 2 * 2 ** (n - 2) * n
+
+
+def test_thm5_1_finish_compares_fibers():
     n = 6
     bad, seen = _swept("thm5.1", n)
     assert bad.count == 0
     assert _finish_violations("thm5.1", n, seen.copy()) == (0, None)
-    # One image missing.
-    missing = seen.copy()
-    del missing[next(key for key in missing if not isinstance(key[0], str))]
-    images = identities.catalan(n) - 1
-    assert _finish_violations("thm5.1", n, missing) == (1, f"{images} distinct images")
     # One fiber count off by one.
     off = seen.copy()
     off[next(key for key in off if key[0] == "lind")] += 1
