@@ -195,12 +195,9 @@ def _joint_rows(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     Every statistic is computed from the permutation word itself (the
     longest increasing subsequence by dynamic programming, the sign by
     inversion count), not read off the generating ballot pair.  For n = 0
-    the lind slot holds 0 as an internal placeholder.
+    the lind slot holds 0 as an internal placeholder.  Callers check the
+    size caps.
     """
-    if n > BALLOT_HARD_CAP:
-        raise LimitExceeded(
-            f"ballot generator hard-capped at n = {BALLOT_HARD_CAP} (got {n})"
-        )
     acc: dict[tuple[int, int, int, int], int] = {}
     for values in _iter_tn_values(n):
         key = (
@@ -290,6 +287,16 @@ class SignedPolynomial:
         return not self.coefficients
 
 
+def _signed_distribution(n: int, statistic: str) -> SignedDistribution:
+    pick = STATISTICS.index(statistic)
+    rows: dict[int, tuple[int, int]] = {}
+    for row in _joint_rows(n):
+        value, s, count = row[pick], row[3], row[4]
+        e, o = rows.get(value, (0, 0))
+        rows[value] = (e + count, o) if s > 0 else (e, o + count)
+    return SignedDistribution(statistic, n, dict(sorted(rows.items())))
+
+
 def signed_distribution(
     n: int, statistic: str, allow_large: bool = False
 ) -> SignedDistribution:
@@ -300,13 +307,24 @@ def signed_distribution(
     if statistic == "lind" and n == 0:
         raise ValueError("lind is undefined for the empty permutation")
     _check_ballot_cap(n, allow_large)
-    pick = STATISTICS.index(statistic)
-    rows: dict[int, tuple[int, int]] = {}
-    for row in _joint_rows(n):
-        value, s, count = row[pick], row[3], row[4]
-        e, o = rows.get(value, (0, 0))
-        rows[value] = (e + count, o) if s > 0 else (e, o + count)
-    return SignedDistribution(statistic, n, dict(sorted(rows.items())))
+    return _signed_distribution(n, statistic)
+
+
+def _signed_polynomial(
+    n: int,
+    statistics: tuple[str, ...],
+    lis_parity: int | None = None,
+    ldes_parity: int | None = None,
+) -> SignedPolynomial:
+    terms: dict[tuple[int, ...], int] = {}
+    for k, d, _l, s, count in _joint_rows(n):
+        if lis_parity is not None and k % 2 != lis_parity:
+            continue
+        if ldes_parity is not None and d % 2 != ldes_parity:
+            continue
+        exps = tuple(k if name == "lis" else d for name in statistics)
+        terms[exps] = terms.get(exps, 0) + s * count
+    return SignedPolynomial.from_terms(terms)
 
 
 def signed_polynomial(
@@ -334,12 +352,4 @@ def signed_polynomial(
         if parity not in (None, 0, 1):
             raise ValueError(f"{name} must be None, 0 or 1, got {parity!r}")
     _check_ballot_cap(n, allow_large)
-    terms: dict[tuple[int, ...], int] = {}
-    for k, d, _l, s, count in _joint_rows(n):
-        if lis_parity is not None and k % 2 != lis_parity:
-            continue
-        if ldes_parity is not None and d % 2 != ldes_parity:
-            continue
-        exps = tuple(k if name == "lis" else d for name in statistics)
-        terms[exps] = terms.get(exps, 0) + s * count
-    return SignedPolynomial.from_terms(terms)
+    return _signed_polynomial(n, statistics, lis_parity, ldes_parity)

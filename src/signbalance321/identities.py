@@ -19,12 +19,14 @@ that checks one permutation and a finish that runs once per size.
 ``verify`` cuts each T_n into runs of ``_SLICE`` permutations of the
 enumeration, the same for any worker count, which worker processes (at most
 one per CPU) check when there are several workers.  ``_run_task`` holds the
-one loop over a run: it feeds each permutation to the step, which records
-violations in a ``_Violations`` and what the size-wide checks need in a
-``Counter``.  No step keys a count by a permutation or its image, so these
-counts stay small whatever Catalan(n).  They add up run by run in
-enumeration order, keeping the first witness, so the report is ordered by
-size and identical for any worker count.
+one loop over a run: it feeds each permutation, as a value tuple, to the
+step, which records violations in a ``_Violations`` and what the size-wide
+checks need in a ``Counter``.  No step keys a count by a permutation or its
+image, so these counts stay small whatever Catalan(n).  They add up run by
+run in enumeration order, keeping the first witness, so the report is
+ordered by size and identical for any worker count.  Only ``verify`` and
+``check_identity_at`` validate; steps and checkers run on unchecked tuple
+cores, and a witness is rendered only when a clause fails.
 """
 from __future__ import annotations
 
@@ -57,28 +59,27 @@ from .enumeration import (
     _check_ballot_cap,
     _iter_tn_slice,
     _joint_rows,
+    _signed_distribution,
+    _signed_polynomial,
     a_star_count,
     ballot_number,
     catalan,
     psi_fixed_point_count,
-    signed_distribution,
-    signed_polynomial,
 )
 from .errors import UnknownIdentity
-from .involutions import _outcome, _phi_pair, _psi_pair, _reinsert, _reinsert_inverse
-from .matching import _region_counts, _second_row_sum, match_pairs, sign_by_srs
+from .involutions import _phi_pair, _psi_pair, _reinsert, _reinsert_inverse
+from .matching import _match_pairs, _region_counts, _second_row_sum, _sign_by_srs
 from .permutations import (
-    Permutation,
+    _descents,
+    _inverse,
+    _inversion_count,
     _is_321_avoiding,
-    descent_set,
-    inverse,
-    inversion_count,
-    ldes,
-    lind,
-    lis_oracle,
-    sign_by_inversions,
+    _ldes,
+    _lind,
+    _lis,
+    _sign,
 )
-from .tableaux import _rsk_ballots
+from .tableaux import _rsk_ballots, _values_from_ballots
 
 __all__ = [
     "IDENTITY_LABELS",
@@ -138,12 +139,12 @@ class _Violations:
         witness = self.witness if self.witness is not None else later.witness
         return _Violations(self.count + later.count, witness)
 
-    def hit(self, ok: bool, witness) -> bool:
+    def hit(self, ok: bool, witness) -> None:
         if not ok:
             self.count += 1
             if self.witness is None:
-                self.witness = str(witness)
-        return ok
+                is_word = isinstance(witness, tuple)  # a value tuple: one-line notation
+                self.witness = " ".join(map(str, witness)) if is_word else str(witness)
 
     def compared(self, lhs: dict[str, int], rhs: dict[str, int]) -> _Compared:
         """The compared maps with the violation count appended against an
@@ -158,7 +159,7 @@ def _strip_zeros(mapping: dict) -> dict[str, int]:
 
 def _unsigned_univariate(m: int, statistic: str, offset: int) -> SignedPolynomial:
     """Plain counting polynomial of T_m with exponents 2*value + offset."""
-    dist = signed_distribution(m, statistic)
+    dist = _signed_distribution(m, statistic)
     return SignedPolynomial.from_terms(
         {(2 * v + offset,): e + o for v, (e, o) in dist.rows.items()}
     )
@@ -166,15 +167,14 @@ def _unsigned_univariate(m: int, statistic: str, offset: int) -> SignedPolynomia
 
 def _unsigned_bivariate(m: int) -> SignedPolynomial:
     """Counting polynomial of T_m with exponents (2*lis + 1, 2*ldes)."""
-    terms: dict[tuple[int, ...], int] = {}
+    terms: Counter = Counter()
     for k, d, _l, _s, c in _joint_rows(m):
-        e = (2 * k + 1, 2 * d)
-        terms[e] = terms.get(e, 0) + c
+        terms[2 * k + 1, 2 * d] += c
     return SignedPolynomial.from_terms(terms)
 
 
 def _check_thm1_1(n: int) -> _Compared:
-    lhs = signed_polynomial(n, "lis")
+    lhs = _signed_polynomial(n, ("lis",))
     if n % 2:
         rhs = _unsigned_univariate((n - 1) // 2, "lis", 1)
     else:
@@ -184,7 +184,7 @@ def _check_thm1_1(n: int) -> _Compared:
 
 
 def _check_thm4_1(n: int) -> _Compared:
-    lhs = signed_polynomial(n, "ldes")
+    lhs = _signed_polynomial(n, ("ldes",))
     if n % 2:
         rhs = _unsigned_univariate((n - 1) // 2, "ldes", 0)
     else:
@@ -194,8 +194,7 @@ def _check_thm4_1(n: int) -> _Compared:
 
 
 def _check_eo_identities(n: int) -> _Compared:
-    dist = signed_distribution(n, "lis")
-    observed = dist.signed()
+    observed = _signed_distribution(n, "lis").signed()
     expected: dict[int, int] = {}
     for j in range(1, n + 1):
         if n % 2:
@@ -207,14 +206,13 @@ def _check_eo_identities(n: int) -> _Compared:
                 value = -(ballot_number(m, (j - 1) // 2) ** 2)
             else:
                 value = ballot_number(m, (j - 2) // 2) ** 2
-        if value:
-            expected[j] = value
+        expected[j] = value
     return _strip_zeros(observed), _strip_zeros(expected), None
 
 
-def _step_prop2_1(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
-    s_tab = sign_by_srs(w)
-    s_inv = sign_by_inversions(w)
+def _step_prop2_1(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+    s_tab = _sign_by_srs(*_rsk_ballots(w))
+    s_inv = _sign(w)
     seen["srs", s_tab] += 1
     seen["inv", s_inv] += 1
     bad.hit(s_tab == s_inv, w)
@@ -227,17 +225,17 @@ def _finish_prop2_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
     )
 
 
-def _step_lemma2_2(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+def _step_lemma2_2(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
     c_sum = 0
-    for i, j in match_pairs(w).pairs:
-        rc = _region_counts(w.values, i, j)
-        vi = w.values[i - 1]
+    for i, j in _match_pairs(w):
+        rc = _region_counts(w, i, j)
+        vi = w[i - 1]
         bad.hit(rc.c1 == 0, w)
         bad.hit((rc.c - (vi + j)) % 2 == 0, w)
         bad.hit(rc.c2 + rc.c3 + 2 * rc.c4 == (n - vi) + (n - j), w)
         c_sum += rc.c
-    inv = inversion_count(w)
-    decomposition = c_sum + (n - lis_oracle(w))
+    inv = _inversion_count(w)
+    decomposition = c_sum + (n - _lis(w))
     bad.hit(inv == decomposition, w)
     seen["inversions"] += inv
     seen["decomposed"] += decomposition
@@ -277,22 +275,23 @@ def _check_prop3_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _step_phi_involution(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
-    p, q = _rsk_ballots(w.values)
-    out = _outcome(w, *_phi_pair(p, q))
-    k = lis_oracle(w)
-    bad.hit(lis_oracle(out.image) == k, w)
-    bad.hit(_phi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
-    bad.hit(out.fixed == (out.image == w), w)
-    if out.fixed:
+def _step_phi_involution(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+    p, q = _rsk_ballots(w)
+    branch, *image_pair = _phi_pair(p, q)
+    image = w if branch == "fixed" else _values_from_ballots(*image_pair)
+    k = _lis(w)
+    bad.hit(_lis(image) == k, w)
+    bad.hit(_phi_pair(*_rsk_ballots(image))[1:] == (p, q), w)
+    bad.hit((branch == "fixed") == (image == w), w)
+    if branch == "fixed":
         seen[k] += 1
-        s = sign_by_inversions(w)
+        s = _sign(w)
         if n % 2:
             bad.hit(s == 1, w)
         else:
             bad.hit(s == (1 if k % 2 == 0 else -1), w)
     else:
-        bad.hit(sign_by_inversions(out.image) == -sign_by_inversions(w), w)
+        bad.hit(_sign(image) == -_sign(w), w)
 
 
 def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -301,18 +300,18 @@ def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared
     return bad.compared(_strip_zeros(seen), _strip_zeros(expected))
 
 
-def _step_lemma4_2(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+def _step_lemma4_2(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
     # Elementwise parity claims over the permutations whose insertion-side
     # sequence is in A* and whose recording side avoids class B.
-    p, q = _rsk_ballots(w.values)
+    p, q = _rsk_ballots(w)
     if _epsilon(p):
         return
     q_cls = _classify(q)
     if q_cls.tag is BallotClassTag.B:
         return
-    d = ldes(w)
-    k = lis_oracle(w)
-    s = sign_by_inversions(w)
+    d = _ldes(w)
+    k = _lis(w)
+    s = _sign(w)
     if d % 2 == 0:
         bad.hit(s == 1, w)
     elif n % 2:
@@ -344,21 +343,22 @@ def _finish_lemma4_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
     )
 
 
-def _step_prop4_3(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
-    p, q = _rsk_ballots(w.values)
-    out = _outcome(w, *_psi_pair(p, q))
-    k = lis_oracle(w)
-    d = ldes(w)
-    s = sign_by_inversions(w)
-    bad.hit(_psi_pair(*_rsk_ballots(out.image.values))[1:] == (p, q), w)
-    bad.hit(lis_oracle(out.image) == k, w)
-    bad.hit(ldes(out.image) == d, w)
-    bad.hit(out.fixed == (out.image == w), w)
-    if out.fixed:
+def _step_prop4_3(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+    p, q = _rsk_ballots(w)
+    branch, *image_pair = _psi_pair(p, q)
+    image = w if branch == "fixed" else _values_from_ballots(*image_pair)
+    k = _lis(w)
+    d = _ldes(w)
+    s = _sign(w)
+    bad.hit(_psi_pair(*_rsk_ballots(image))[1:] == (p, q), w)
+    bad.hit(_lis(image) == k, w)
+    bad.hit(_ldes(image) == d, w)
+    bad.hit((branch == "fixed") == (image == w), w)
+    if branch == "fixed":
         seen[d] += 1
         bad.hit((s == -1) == (n % 2 == 0 and d % 2 == 1), w)
     else:
-        bad.hit(sign_by_inversions(out.image) == -s, w)
+        bad.hit(_sign(image) == -s, w)
 
 
 def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -376,28 +376,28 @@ def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
 def _check_cor4_4(n: int) -> _Compared:
     # Half size is (n - 1) / 2 for odd n and n / 2 for even n.
     lhs = _unsigned_bivariate(n // 2)
-    rhs = signed_polynomial(n, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
+    rhs = _signed_polynomial(n, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
     if n % 2 == 0:
-        rhs += signed_polynomial(
+        rhs += _signed_polynomial(
             n, ("lis", "ldes"), lis_parity=0, ldes_parity=0
         ).shift(1, 0)
     return lhs.as_map(), rhs.as_map(), None
 
 
-def _step_thm5_1(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
+def _step_thm5_1(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
     # An image in T_n with a left inverse makes the map injective on the
     # finite set T_n, hence a bijection; the right-inverse clause checks that
     # it is onto directly.  Both are checked one permutation at a time.
-    image = Permutation(_reinsert(w.values))
-    bad.hit(_is_321_avoiding(image.values), w)
-    bad.hit(lind(image) == ldes(w) + 1, w)
-    fiber = tuple(i for i in descent_set(inverse(w)) if i <= n - 2)
-    fiber_img = tuple(i for i in descent_set(inverse(image)) if i <= n - 2)
+    image = _reinsert(w)
+    bad.hit(_is_321_avoiding(image), w)
+    bad.hit(_lind(image) == _ldes(w) + 1, w)
+    fiber = tuple(i for i in _descents(_inverse(w)) if i <= n - 2)
+    fiber_img = tuple(i for i in _descents(_inverse(image)) if i <= n - 2)
     bad.hit(fiber == fiber_img, w)
-    bad.hit(_reinsert_inverse(image.values) == w.values, w)
-    bad.hit(_reinsert(_reinsert_inverse(w.values)) == w.values, w)
-    seen["lind", fiber, lind(w)] += 1
-    seen["ldes", fiber, ldes(w) + 1] += 1
+    bad.hit(_reinsert_inverse(image) == w, w)
+    bad.hit(_reinsert(_reinsert_inverse(w)) == w, w)
+    seen["lind", fiber, _lind(w)] += 1
+    seen["ldes", fiber, _ldes(w) + 1] += 1
 
 
 def _finish_thm5_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -406,22 +406,22 @@ def _finish_thm5_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
     # Equidistribution of lind and ldes + 1, jointly with the inverse-descent
     # trace below n - 1.
     bad.hit(fiber_lind == fiber_ldes, "joint fiber distributions differ")
-    lhs_counts = signed_distribution(n, "lind").counts()
+    lhs_counts = _signed_distribution(n, "lind").counts()
     rhs_counts = {
-        d + 1: c for d, c in signed_distribution(n, "ldes").counts().items()
+        d + 1: c for d, c in _signed_distribution(n, "ldes").counts().items()
     }
     return bad.compared(_strip_zeros(lhs_counts), _strip_zeros(rhs_counts))
 
 
-def _step_srs_matching(n: int, w: Permutation, bad: _Violations, seen: Counter) -> None:
-    pairs = match_pairs(w).pairs
-    p, q = _rsk_ballots(w.values)
+def _step_srs_matching(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+    pairs = _match_pairs(w)
+    p, q = _rsk_ballots(w)
     row2_letters = {i for i, e in enumerate(p, 1) if e < 0}
     row2_positions = {i for i, e in enumerate(q, 1) if e < 0}
-    bad.hit({w.values[i - 1] for i, _ in pairs} == row2_letters, w)
+    bad.hit({w[i - 1] for i, _ in pairs} == row2_letters, w)
     bad.hit({j for _, j in pairs} == row2_positions, w)
-    bad.hit(len(pairs) == n - lis_oracle(w), w)
-    pair_total = sum(w.values[i - 1] + j for i, j in pairs)
+    bad.hit(len(pairs) == n - _lis(w), w)
+    pair_total = sum(w[i - 1] + j for i, j in pairs)
     bad.hit(_second_row_sum(p, q) == pair_total, w)
 
 
@@ -432,14 +432,14 @@ def _finish_srs_matching(n: int, bad: _Violations, seen: Counter) -> _Compared:
 class _Sweep(NamedTuple):
     """A claim checked permutation by permutation over T_n.
 
-    ``step(n, w, bad, seen)`` checks one permutation: it records violations
-    in ``bad`` (a ``_Violations``) and counts in ``seen`` (a ``Counter``)
-    what the size-wide checks need.  ``finish(n, bad, seen)`` runs those
-    checks once ``_run_task`` has stepped through every run of T_n and the
-    runs are merged in enumeration order.
+    ``step(n, w, bad, seen)`` checks one permutation w, a value tuple, on
+    the unchecked tuple cores: it records violations in ``bad`` (a
+    ``_Violations``) and counts in ``seen`` (a ``Counter``) what the
+    size-wide checks need.  ``finish(n, bad, seen)`` runs those checks once
+    every run of T_n is stepped through and merged in enumeration order.
     """
 
-    step: Callable[[int, Permutation, _Violations, Counter], None]
+    step: Callable[[int, tuple[int, ...], _Violations, Counter], None]
     finish: Callable[[int, _Violations, Counter], _Compared]
 
 
@@ -550,7 +550,7 @@ def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
     # The one loop over the permutations of a run of T_n.
     bad, seen = _Violations(), Counter()
     for values in _iter_tn_slice(n, *bounds):
-        checker.step(n, Permutation(values), bad, seen)
+        checker.step(n, values, bad, seen)
     return bad, seen
 
 

@@ -11,16 +11,16 @@ the recording side is swapped only in class B, and the A*/B*+ cases go
 through the descent-preserving exchange (forward on A*, inverse on B*+).
 
 Both maps act on the ballot pair (p, q) of a permutation: ``_phi_pair`` and
-``_psi_pair`` map the pair of tuples to (branch, p', q'), and internal sweeps
-call them directly.  Only the public maps validate: row insertion rejects a
-321 pattern, and the image is built once, as a ``Permutation``.
+``_psi_pair`` map it to (branch, p', q'); the verifier's sweeps call them and
+decode (p', q') to a value tuple.  Only the public maps validate: row
+insertion rejects a 321 pattern, and the image is built as a ``Permutation``.
 
 ``ldes_lind_bijection`` is the delete/reinsert map sending the maximum
 descent d to the position d + 1 of the largest letter.  The d = 0 case
 inserts the largest letter at position 1; together with the inverse below,
 this is the unique reading under which the map is a bijection (checked
 exhaustively in the test suite).  Its two directions act on value tuples
-in ``_reinsert`` and ``_reinsert_inverse``, which internal sweeps call
+in ``_reinsert`` and ``_reinsert_inverse``, which the verifier's sweep calls
 directly; like Phi and Psi, only the public maps validate.
 """
 from __future__ import annotations

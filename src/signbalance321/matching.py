@@ -61,11 +61,7 @@ class RegionCounts:
         return self.c2 + self.c3
 
 
-def match_pairs(w: Permutation) -> Matching:
-    """Run the two-cursor matching; deterministic for a fixed input."""
-    values = w.values
-    if not _is_321_avoiding(values):
-        raise Not321Avoiding(f"matching is defined on 321-avoiding input: {w}")
+def _match_pairs(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     exc = [i for i, x in enumerate(values, 1) if x > i]
     anti = [i for i, x in enumerate(values, 1) if x < i]
     pairs = []
@@ -81,7 +77,14 @@ def match_pairs(w: Permutation) -> Matching:
             pairs.append((i, j))
             a += 1
             b += 1
-    return Matching(tuple(pairs))
+    return tuple(pairs)
+
+
+def match_pairs(w: Permutation) -> Matching:
+    """Run the two-cursor matching; deterministic for a fixed input."""
+    if not _is_321_avoiding(w.values):
+        raise Not321Avoiding(f"matching is defined on 321-avoiding input: {w}")
+    return Matching(_match_pairs(w.values))
 
 
 def _second_row_sum(p: tuple[int, ...], q: tuple[int, ...]) -> int:
@@ -136,9 +139,12 @@ def region_counts(w: Permutation, pair: tuple[int, int]) -> RegionCounts:
     return _region_counts(w.values, *pair)
 
 
+def _sign_by_srs(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    k = sum(1 for e in p if e > 0)
+    return -1 if (_second_row_sum(p, q) + len(p) - k) % 2 else 1
+
+
 def sign_by_srs(w: Permutation) -> int:
     """Sign read off the tableau pair: parity of srs plus the second-row
     length (the number of letters, n, minus the first-row length)."""
-    p, q = _rsk_ballots(w.values)
-    k = sum(1 for e in p if e > 0)
-    return -1 if (_second_row_sum(p, q) + len(p) - k) % 2 else 1
+    return _sign_by_srs(*_rsk_ballots(w.values))

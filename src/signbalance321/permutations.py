@@ -104,10 +104,7 @@ def parse_permutation(text: str) -> Permutation:
 
 def inverse(w: Permutation) -> Permutation:
     """The inverse permutation."""
-    inv = [0] * w.n
-    for i, x in enumerate(w.values, 1):
-        inv[x - 1] = i
-    return Permutation(tuple(inv))
+    return Permutation(_inverse(w.values))
 
 
 # Tuple-level implementations.  Public functions unwrap the Permutation and
@@ -150,6 +147,13 @@ def _sign(values: Sequence[int]) -> int:
     return -1 if _inversion_count(values) % 2 else 1
 
 
+def _inverse(values: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(values)
+    for i, x in enumerate(values, 1):
+        inv[x - 1] = i
+    return tuple(inv)
+
+
 def _descents(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         i for i in range(1, len(values)) if values[i - 1] > values[i]
@@ -161,6 +165,10 @@ def _ldes(values: Sequence[int]) -> int:
         if values[i - 1] > values[i]:
             return i
     return 0
+
+
+def _lind(values: Sequence[int]) -> int:
+    return values.index(len(values)) + 1
 
 
 def _lis(values: Sequence[int]) -> int:
@@ -230,7 +238,7 @@ def lind(w: Permutation) -> int:
     """The position of the largest letter n.  Undefined for n = 0."""
     if w.n == 0:
         raise ValueError("lind is undefined for the empty permutation")
-    return w.values.index(w.n) + 1
+    return _lind(w.values)
 
 
 def excedances(w: Permutation) -> tuple[int, ...]:

@@ -18,8 +18,9 @@ from signbalance321 import (
     report_rows,
     verify,
 )
-from signbalance321 import cli, identities
+from signbalance321 import cli, enumeration, identities
 from signbalance321.enumeration import SignedDistribution, SignedPolynomial
+from signbalance321.errors import LimitExceeded
 from signbalance321.identities import IdentityCheck, VerificationReport, applicable_sizes
 
 
@@ -153,8 +154,8 @@ def test_lind_and_shifted_ldes_equidistributed_to_ten():
 
 
 def _flip_some_signs(real):
-    # Wrong on every permutation that starts with 1, the identity included.
-    return lambda w: -real(w) if w.values[0] == 1 else real(w)
+    # Wrong on every value tuple that starts with 1, the identity included.
+    return lambda values: -real(values) if values[0] == 1 else real(values)
 
 
 def _plus_one(real):
@@ -163,8 +164,8 @@ def _plus_one(real):
 
 def _bump_first_row(real):
     # One extra even permutation at the smallest statistic value.
-    def fake(n, statistic, allow_large=False):
-        dist = real(n, statistic, allow_large)
+    def fake(n, statistic):
+        dist = real(n, statistic)
         value, (even, odd) = next(iter(dist.rows.items()))
         return SignedDistribution(
             dist.statistic, dist.n, {**dist.rows, value: (even + 1, odd)}
@@ -180,20 +181,22 @@ def _extra_constant_term(real):
 
 
 # label -> (dependency looked up in signbalance321.identities, fault,
-#           whether the claim is checked permutation by permutation)
+#           whether the claim is checked permutation by permutation).
+# Sweep steps and aggregate checkers call the unchecked cores, so the faults
+# go there; prop3.1 keeps the public ballot API.
 _INJECTED_FAULTS = {
-    "thm1.1": ("signed_distribution", _bump_first_row, False),
-    "prop2.1": ("sign_by_inversions", _flip_some_signs, True),
-    "lemma2.2": ("lis_oracle", _plus_one, True),
+    "thm1.1": ("_signed_distribution", _bump_first_row, False),
+    "prop2.1": ("_sign", _flip_some_signs, True),
+    "lemma2.2": ("_lis", _plus_one, True),
     "prop3.1": ("delta", _plus_one, True),
-    "phi-involution": ("sign_by_inversions", _flip_some_signs, True),
-    "eo-identities": ("signed_distribution", _bump_first_row, False),
-    "thm4.1": ("signed_distribution", _bump_first_row, False),
-    "lemma4.2-parity": ("sign_by_inversions", _flip_some_signs, True),
-    "prop4.3": ("sign_by_inversions", _flip_some_signs, True),
-    "cor4.4": ("signed_polynomial", _extra_constant_term, False),
-    "thm5.1": ("lind", _plus_one, True),
-    "srs-matching-consistency": ("lis_oracle", _plus_one, True),
+    "phi-involution": ("_sign", _flip_some_signs, True),
+    "eo-identities": ("_signed_distribution", _bump_first_row, False),
+    "thm4.1": ("_signed_distribution", _bump_first_row, False),
+    "lemma4.2-parity": ("_sign", _flip_some_signs, True),
+    "prop4.3": ("_sign", _flip_some_signs, True),
+    "cor4.4": ("_signed_polynomial", _extra_constant_term, False),
+    "thm5.1": ("_lind", _plus_one, True),
+    "srs-matching-consistency": ("_lis", _plus_one, True),
 }
 
 
@@ -280,6 +283,39 @@ def test_slicing_never_changes_a_report(monkeypatch, label, faulted):
         assert report_json(verify(label, 8, workers=workers)) == serial, workers
 
 
+@pytest.mark.parametrize("label", IDENTITY_LABELS)
+def test_allow_large_reaches_every_label(monkeypatch, label):
+    # Past the soft ballot cap, allow_large is checked once, at verify's
+    # boundary; no checker behind it may check the cap again.
+    monkeypatch.setattr(enumeration, "BALLOT_SOFT_CAP", 5)
+    with pytest.raises(LimitExceeded, match="pass allow_large=True"):
+        verify(label, 6)
+    with pytest.warns(RuntimeWarning) as warned:
+        report = verify(label, 6, allow_large=True)
+    assert report.passed and report.checks[-1].n == 6
+    assert [w.category for w in warned] == [RuntimeWarning]
+    args = ["verify", "--identity", label, "--n-max", "6", "--allow-large"]
+    with pytest.warns(RuntimeWarning) as warned:
+        assert cli.main(args) == 0
+    assert [w.category for w in warned] == [RuntimeWarning]
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_passing_sweep_builds_no_permutation(monkeypatch, label):
+    # Steps get value tuples and call the unchecked cores; a Permutation is
+    # built only at a public boundary.
+    built = []
+    real = Permutation.__post_init__
+
+    def counted(self):
+        built.append(self.values)
+        real(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    assert verify(label, 8).passed
+    assert built == []
+
+
 def _swept(label, n):
     """The merged violations and counts of one whole T_n sweep."""
     return identities._run_task(label, n, (0, identities.catalan(n)))
@@ -307,7 +343,7 @@ def test_thm5_1_step_checks_both_inverse_directions(monkeypatch, wrong_at):
         lambda values: values if values == target else real(values),
     )
     bad, seen = identities._Violations(), Counter()
-    identities._REGISTRY["thm5.1"].checker.step(n, w, bad, seen)
+    identities._REGISTRY["thm5.1"].checker.step(n, w.values, bad, seen)
     assert (bad.count, bad.witness) == (1, str(w))
 
 
