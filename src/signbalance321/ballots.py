@@ -56,7 +56,7 @@ class BallotSequence:
         object.__setattr__(self, "entries", entries)
         total = 0
         for i, e in enumerate(entries, 1):
-            if e not in (1, -1):
+            if type(e) is not int or e not in (1, -1):
                 raise NotBallot(f"entry at position {i} is {e!r}, expected +1 or -1")
             total += e
             if total < 0:

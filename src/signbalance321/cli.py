@@ -7,10 +7,11 @@ violated (the counterexample is part of the report), 2 for usage or domain
 errors.
 
 Output is deterministic: identical invocations produce byte-identical
-output, and verification reports are independent of the worker count.  When
-the environment variable ``SIGNBALANCE321_OUTPUT_DIR`` is set, reports from
-``stats`` and ``verify`` are additionally written into that directory under
-a deterministic file name.
+output, and verification reports are independent of the worker count.  The
+report verbs ``stats`` and ``verify`` share one output path: ``--json`` or
+``--csv`` picks the format (text otherwise), the report goes to stdout, and
+when the environment variable ``SIGNBALANCE321_OUTPUT_DIR`` is set the same
+bytes are written into that directory as ``<verb>-<name>-n<size>.<ext>``.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .ballots import BallotClassTag, classify, delta, epsilon, parse_ballot
 from .ballots import phi as ballot_phi
@@ -28,9 +30,9 @@ from .errors import NotInDomain
 from .identities import (
     IDENTITY_LABELS,
     IDENTITY_SUMMARIES,
+    VerificationReport,
     report_csv,
     report_json,
-    report_rows,
     verify,
 )
 from .involutions import capital_phi, capital_psi, ldes_lind_bijection
@@ -52,108 +54,91 @@ from .tableaux import (
 
 ENV_OUTPUT_DIR = "SIGNBALANCE321_OUTPUT_DIR"
 
+# The stats table: its header, then one row per statistic value, as CSV or
+# as right-aligned text columns.
+_STATS_COLUMNS = ("value", "count", "even", "odd", "signed")
+_STATS_LINE = {"csv": "{},{},{},{},{}\n", "txt": "{:>6} {:>8} {:>8} {:>8} {:>8}\n"}
 
-def _maybe_write(document: str, filename: str) -> None:
+
+def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+
+
+def _report(args: argparse.Namespace, stem: str, render: Callable[[str], str]) -> None:
+    """Print the report in the format the flags chose (``render`` maps the
+    file extension to the document), and write the same bytes to the output
+    directory, when one is set, as ``<stem>.<ext>``."""
+    ext = "json" if args.json else "csv" if args.csv else "txt"
+    document = render(ext)
+    print(document, end="")
     out_dir = os.environ.get(ENV_OUTPUT_DIR)
-    if not out_dir:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
-        fh.write(document)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, f"{stem}.{ext}"), "w", encoding="utf-8") as fh:
+            fh.write(document)
 
 
 def _tableau_inline(t: TwoRowTableau) -> str:
-    first = " ".join(str(x) for x in t.row1)
-    if not t.row2:
-        return first
-    return first + " / " + " ".join(str(x) for x in t.row2)
+    return str(t).rstrip("\n").replace("\n", " / ")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    # The sign "statistic" has two values: +1 holds every even permutation,
+    # -1 every odd one.
+    by = "lis" if args.by == "sign" else args.by
+    dist = signed_distribution(args.n, by, args.allow_large)
     if args.by == "sign":
-        base = signed_distribution(args.n, "lis", args.allow_large)
-        even = sum(e for e, _o in base.rows.values())
-        odd = sum(o for _e, o in base.rows.values())
-        rows = [
-            {"value": 1, "count": even, "even": even, "odd": 0, "signed": even},
-            {"value": -1, "count": odd, "even": 0, "odd": odd, "signed": -odd},
-        ]
+        even, odd = map(sum, zip(*dist.rows.values()))
+        counts = [(1, (even, 0)), (-1, (0, odd))]
     else:
-        dist = signed_distribution(args.n, args.by, args.allow_large)
-        rows = [
-            {
-                "value": v,
-                "count": e + o,
-                "even": e,
-                "odd": o,
-                "signed": e - o,
-            }
-            for v, (e, o) in sorted(dist.rows.items())
-        ]
-    if args.json:
-        document = json.dumps(
-            {"n": args.n, "statistic": args.by, "rows": rows},
-            indent=2,
-            sort_keys=True,
-        )
-        ext = "json"
-    elif args.csv:
-        lines = ["value,count,even,odd,signed"]
-        lines += [
-            f"{r['value']},{r['count']},{r['even']},{r['odd']},{r['signed']}"
-            for r in rows
-        ]
-        document = "\n".join(lines) + "\n"
-        ext = "csv"
-    else:
-        lines = [f"{'value':>6} {'count':>8} {'even':>8} {'odd':>8} {'signed':>8}"]
-        lines += [
-            f"{r['value']:>6} {r['count']:>8} {r['even']:>8} {r['odd']:>8} {r['signed']:>8}"
-            for r in rows
-        ]
-        document = "\n".join(lines) + "\n"
-        ext = "txt"
-    print(document, end="")
-    _maybe_write(document, f"stats-{args.by}-n{args.n}.{ext}")
+        counts = sorted(dist.rows.items())
+    rows = [(v, e + o, e, o, e - o) for v, (e, o) in counts]
+
+    def render(ext: str) -> str:
+        if ext == "json":
+            doc_rows = [dict(zip(_STATS_COLUMNS, row)) for row in rows]
+            doc = {"n": args.n, "statistic": args.by, "rows": doc_rows}
+            return json.dumps(doc, indent=2, sort_keys=True)
+        return "".join(_STATS_LINE[ext].format(*row) for row in (_STATS_COLUMNS, *rows))
+
+    _report(args, f"stats-{args.by}-n{args.n}", render)
     return 0
+
+
+def _verify_text(report: VerificationReport) -> str:
+    lines = []
+    for c in report.checks:
+        line = f"{c.identity} n={c.n}: {'PASS' if c.passed else 'FAIL'}"
+        if not c.passed:
+            line += f"  lhs={json.dumps(c.lhs, sort_keys=True)}"
+            line += f"  rhs={json.dumps(c.rhs, sort_keys=True)}"
+            if c.counterexample:
+                line += f"  counterexample: {c.counterexample}"
+        lines.append(line)
+    summary = "all checks passed" if report.passed else "FAILED"
+    lines.append(f"{report.identity} up to n={report.n_max}: {summary}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(
         args.identity, args.n_max, workers=args.workers, allow_large=args.allow_large
     )
-    if args.json:
-        document = report_json(report) + "\n"
-        ext = "json"
-    elif args.csv:
-        document = report_csv(report)
-        ext = "csv"
-    else:
-        lines = []
-        for row in report_rows(report):
-            status = "PASS" if row["pass"] else "FAIL"
-            line = f"{row['identity']} n={row['n']}: {status}"
-            if not row["pass"]:
-                line += f"  lhs={json.dumps(row['lhs'], sort_keys=True)}"
-                line += f"  rhs={json.dumps(row['rhs'], sort_keys=True)}"
-                if row["counterexample"]:
-                    line += f"  counterexample: {row['counterexample']}"
-            lines.append(line)
-        summary = "all checks passed" if report.passed else "FAILED"
-        lines.append(f"{report.identity} up to n={report.n_max}: {summary}")
-        document = "\n".join(lines) + "\n"
-        ext = "txt"
-    print(document, end="")
-    _maybe_write(document, f"verify-{args.identity}-n{args.n_max}.{ext}")
-    if not report.passed:
-        failure = report.first_failure()
-        if failure is not None and failure.counterexample:
-            print(
-                f"counterexample at n={failure.n}: {failure.counterexample}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+
+    def render(ext: str) -> str:
+        if ext == "json":
+            return report_json(report) + "\n"
+        return report_csv(report) if ext == "csv" else _verify_text(report)
+
+    _report(args, f"verify-{args.identity}-n{args.n_max}", render)
+    if report.passed:
+        return 0
+    failure = report.first_failure()
+    if failure.counterexample:
+        print(f"counterexample at n={failure.n}: {failure.counterexample}", file=sys.stderr)
+    return 1
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -235,19 +220,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.ldes is not None and ldes(w) != args.ldes:
             continue
         if args.emit == "perms":
-            print(str(w))
-        elif args.emit == "ballots":
-            pair = rsk(w)
-            print(
-                f"{tableau_to_ballot(pair.insertion)} "
-                f"{tableau_to_ballot(pair.recording)}"
-            )
+            print(w)
+            continue
+        pair = rsk(w)
+        if args.emit == "ballots":
+            print(tableau_to_ballot(pair.insertion), tableau_to_ballot(pair.recording))
         else:
-            pair = rsk(w)
-            print(
-                f"{_tableau_inline(pair.insertion)}\t"
-                f"{_tableau_inline(pair.recording)}"
-            )
+            print(_tableau_inline(pair.insertion), _tableau_inline(pair.recording), sep="\t")
     return 0
 
 
@@ -262,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="distribution of a statistic over T_n")
     stats.add_argument("--n", type=int, required=True)
     stats.add_argument("--by", required=True, choices=("lis", "ldes", "lind", "sign"))
-    fmt = stats.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
-    stats.add_argument("--allow-large", action="store_true", dest="allow_large")
+    _add_format_flags(stats)
+    stats.add_argument("--allow-large", action="store_true")
     stats.set_defaults(handler=_cmd_stats)
 
     ver = sub.add_parser(
@@ -278,12 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ver.add_argument("--identity", required=True, choices=IDENTITY_LABELS)
-    ver.add_argument("--n-max", type=int, required=True, dest="n_max")
-    fmt = ver.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    ver.add_argument("--n-max", type=int, required=True)
+    _add_format_flags(ver)
     ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--allow-large", action="store_true", dest="allow_large")
+    ver.add_argument("--allow-large", action="store_true")
     ver.set_defaults(handler=_cmd_verify)
 
     mp = sub.add_parser("map", help="apply a map to a permutation or ballot string")
@@ -307,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--lis", type=int, default=None)
     en.add_argument("--ldes", type=int, default=None)
     en.add_argument("--emit", choices=("perms", "ballots", "tableaux"), default="perms")
-    en.add_argument("--allow-large", action="store_true", dest="allow_large")
+    en.add_argument("--allow-large", action="store_true")
     en.set_defaults(handler=_cmd_enumerate)
 
     return parser

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ballots import BallotClassTag, _classify, _delta, _epsilon, _phi, _psi, _psi_inverse
+from .enumeration import _check_ballot_cap, _sides
 from .errors import Not321Avoiding
 from .permutations import Permutation, _is_321_avoiding, _ldes
 from .tableaux import _rsk_ballots, _values_from_ballots
@@ -146,11 +147,18 @@ def ldes_lind_inverse(w: Permutation) -> Permutation:
 def fixed_points_of(which: str, n: int, allow_large: bool = False) -> list[Permutation]:
     """All fixed points of the named map ("Phi" or "Psi") across the
     321-avoiding permutations of size n, in enumeration order."""
-    from .enumeration import generate_Tn_ballot
-
     cores = {"Phi": _phi_pair, "Psi": _psi_pair}
     if which not in cores:
         raise ValueError(f"unknown map {which!r}, expected 'Phi' or 'Psi'")
     core = cores[which]
-    tn = generate_Tn_ballot(n, allow_large)
-    return [w for w in tn if core(*_rsk_ballots(w.values))[0] == "fixed"]
+    _check_ballot_cap(n, allow_large)
+    # The maps act on ballot pairs: walk the pairs of T_n in enumeration
+    # order (weight ascending, insertion side outer) and decode only the
+    # fixed points.
+    return [
+        Permutation(_values_from_ballots(p, q))
+        for k in range(n + 1)
+        for p in _sides(n, k)
+        for q in _sides(n, k)
+        if core(p, q)[0] == "fixed"
+    ]

@@ -133,8 +133,8 @@ def _region_counts(values: tuple[int, ...], i: int, j: int) -> RegionCounts:
 def region_counts(w: Permutation, pair: tuple[int, int]) -> RegionCounts:
     """Region counts for one matched pair of w."""
     matching = match_pairs(w)
-    pair = (int(pair[0]), int(pair[1]))
-    if pair not in matching.pairs:
+    pair = tuple(pair)
+    if not set(map(type, pair)) <= {int} or pair not in matching.pairs:
         raise NotAMatchedPair(f"{pair} is not a matched pair of {w}")
     return _region_counts(w.values, *pair)
 

@@ -59,7 +59,9 @@ class Permutation:
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         n = len(values)
-        if sorted(values) != list(range(1, n + 1)):
+        # Entries must be ints: 1.0 and True compare equal to 1.
+        all_ints = set(map(type, values)) <= {int}
+        if not all_ints or sorted(values) != list(range(1, n + 1)):
             raise ValueError(
                 f"not a permutation of 1..{n}: {values!r} "
                 "(entries must be exactly the letters 1..n, each once)"

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ballots import BallotSequence, _delta
+from .ballots import BallotSequence
 from .errors import MalformedPair, MalformedTableau, ThirdRowRequired
 from .permutations import Permutation
 
@@ -32,7 +32,6 @@ __all__ = [
     "inverse_rsk",
     "tableau_to_ballot",
     "ballot_to_tableau",
-    "ldes_from_recording",
 ]
 
 
@@ -55,7 +54,9 @@ class TwoRowTableau:
         object.__setattr__(self, "row1", row1)
         object.__setattr__(self, "row2", row2)
         n = len(row1) + len(row2)
-        if sorted(row1 + row2) != list(range(1, n + 1)):
+        # Entries must be ints: 1.0 and True compare equal to 1.
+        all_ints = set(map(type, row1 + row2)) <= {int}
+        if not all_ints or sorted(row1 + row2) != list(range(1, n + 1)):
             raise MalformedTableau(
                 f"rows must hold exactly the letters 1..{n}: {row1} / {row2}"
             )
@@ -200,10 +201,3 @@ def ballot_to_tableau(b: BallotSequence) -> TwoRowTableau:
     row1 = tuple(i for i, e in enumerate(b.entries, 1) if e > 0)
     row2 = tuple(i for i, e in enumerate(b.entries, 1) if e < 0)
     return TwoRowTableau(row1, row2)
-
-
-def ldes_from_recording(q: TwoRowTableau) -> int:
-    """Greatest first-row entry i whose successor i + 1 sits in the second
-    row; 0 when there is none.  Equals the maximum descent of the permutation
-    whose recording tableau is q: the delta of q's ballot sequence."""
-    return _delta(_rows_to_ballot(q.row1, q.n))

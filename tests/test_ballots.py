@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(NotBallot):
             parse_ballot("+--")
 
+    @pytest.mark.parametrize("bad", [(1.0, -1.0), (True,), (1, True, -1)])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(NotBallot):
+            BallotSequence(bad)
+
     def test_bad_characters(self):
         with pytest.raises(ValueError):
             parse_ballot("+x-")

@@ -5,6 +5,7 @@ import pytest
 
 from signbalance321 import (
     BallotSequence,
+    LimitExceeded,
     Not321Avoiding,
     Permutation,
     capital_phi,
@@ -141,6 +142,29 @@ class TestFixedPoints:
     def test_unknown_map(self):
         with pytest.raises(ValueError):
             fixed_points_of("phi", 3)
+
+    @pytest.mark.parametrize("which,apply", [("Phi", capital_phi), ("Psi", capital_psi)])
+    def test_matches_the_public_map_in_enumeration_order(self, monkeypatch, which, apply):
+        for n in range(8):
+            expected = [w for w in generate_Tn_ballot(n) if apply(w).fixed]
+            built = []
+            real = Permutation.__post_init__
+
+            def counted(self):
+                built.append(self.values)
+                real(self)
+
+            monkeypatch.setattr(Permutation, "__post_init__", counted)
+            assert fixed_points_of(which, n) == expected
+            monkeypatch.undo()
+            # Only the fixed points are wrapped as Permutations.
+            assert built == [w.values for w in expected]
+
+    def test_size_caps(self):
+        with pytest.raises(ValueError):
+            fixed_points_of("Phi", -1)
+        with pytest.raises(LimitExceeded):
+            fixed_points_of("Psi", 15)
 
 
 class TestDeleteReinsert:

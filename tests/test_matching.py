@@ -73,6 +73,12 @@ class TestRegionCounts:
         with pytest.raises(NotAMatchedPair):
             region_counts(identity(3), (1, 2))
 
+    @pytest.mark.parametrize("pair", [(1.9, 2.2), (1.0, 2.0), (True, 2), ("1", "2")])
+    def test_non_integer_pair_rejected(self, pair):
+        # (1, 2) is a matched pair of FIG; no entry may be rounded or coerced.
+        with pytest.raises(NotAMatchedPair):
+            region_counts(FIG, pair)
+
     def test_region_identities(self):
         # First region empty; the other three tile the letters above or right
         # of the pair.

@@ -103,6 +103,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    @pytest.mark.parametrize("bad", [(1.0, 2.0), (True,), (2, True), ("1",), ("a", 1)])
+    def test_non_integer_entries_rejected(self, bad):
+        # 1.0 and True compare equal to 1, so only a type check tells them apart.
+        with pytest.raises(ValueError):
+            Permutation(bad)
+
     def test_parse(self):
         assert parse_permutation("2, 3, 1").values == (2, 3, 1)
         assert parse_permutation("  2 3\t1 ").values == (2, 3, 1)

@@ -2,9 +2,12 @@
 
 Each digest is the SHA-256 of the CLI's stdout for one invocation: every
 identity label under ``verify --n-max 8`` in JSON, CSV and text, every
-statistic under ``stats --n 8`` in JSON and CSV, and ``verify --help``.
-The JSON reports must keep their bytes under ``--workers 2`` as well.  A
-change that alters any report byte fails here.  After a deliberate format
+statistic under ``stats --n 8`` in JSON, CSV and text, ``verify --help``,
+a failing ``verify`` report, and ``enumerate --n 6`` emitting ballots and
+tableaux.  The JSON reports must keep their bytes under ``--workers 2`` as
+well, a report written to ``SIGNBALANCE321_OUTPUT_DIR`` must have the bytes
+of stdout, and ``map --audit`` is pinned line by line.  A change that alters
+any report byte fails here.  After a deliberate format
 change, recompute the digests from the new output and say why in the
 change log.
 """
@@ -12,7 +15,7 @@ import hashlib
 
 import pytest
 
-from signbalance321 import IDENTITY_LABELS
+from signbalance321 import IDENTITY_LABELS, identities
 from signbalance321.cli import main
 
 FORMAT_FLAGS = {"json": ["--json"], "csv": ["--csv"], "text": []}
@@ -58,14 +61,39 @@ VERIFY_DIGESTS = {
 STATS_DIGESTS = {
     ("lis", "json"): "3fef07721f0bb114cadb4cb29d475eaa22e25021d5b4ed98fc6275110e688d1f",
     ("lis", "csv"): "967b4e80f79dc780b4e9f3fa168e8d43a7f5b8553897d747c2083cbb1124aab4",
+    ("lis", "text"): "a269df4000432fc9338fdc627a4d155fc58867d0d1cc2f2af4b2cbda7198e557",
     ("ldes", "json"): "b915228f156c39d8c2c20efd46fea123d6a081e81e3399a8c8c08bea3821b7d1",
     ("ldes", "csv"): "080984253b62b500fb1922affb5d9b2102ec8cb9cab3f08cda62c1e5f8dc25ee",
+    ("ldes", "text"): "41ee852b29d4997c71109ee7e90d781fb746d840f9d9423a76749cc38fafc492",
     ("lind", "json"): "e89627836a994447074471068d5bfdfc2979154d61dcade76f31e88a693dba48",
     ("lind", "csv"): "4ce276000405a164f7f2120aaab58f479e6c6bab7d9a533ff0c2f45c216bbff6",
+    ("lind", "text"): "840a1cdbcf1516ce78e0f3d151cc8b9c49a272a694b25fc860f4c5663ab314d6",
     ("sign", "json"): "f259a3d0ddb1927be1908e7488480378e111e60ebf7eefde62962674a0293432",
     ("sign", "csv"): "eca397e9b4076af41b39670a620ed340ee90f569e4d77df80127f21ac6ba4794",
+    ("sign", "text"): "8572a576413b537687d1a284af7f02b9fff96608e75f388c50f1029f89c90375",
 }
 HELP_DIGEST = "4838faf51647d999ca7b87c5dfb624142f0fec10b542981fe9c9260b119a1127"
+# verify --identity prop2.1 --n-max 5 in text, with the sign flipped on every
+# word that starts with 1 (the prop2.1 fault of test_identities).
+FAILING_VERIFY_DIGEST = "e22289cfcdd7b87572e8e3ea9384747811569b6e4f9dbe4a4c1dc8505e59230d"
+ENUMERATE_DIGESTS = {
+    "ballots": "df45cc6ec67b6df962c388c9bdd4191f4eaf78ee7413c33b8878f06ee76cb511",
+    "tableaux": "2b4cf76d7fc6ea98d5db72a7ac047a8cbb10bfd565994858209d350f2e02f3bd",
+}
+EXTENSIONS = {"json": "json", "csv": "csv", "text": "txt"}
+MAP_AUDITS = {
+    ("Phi", "2 3 1"): "1 3 2\nbranch: P-side\np: +-+ -> ++-\nq: ++- -> ++-\nsign: 1 -> -1\n",
+    ("Phi", "1 2"): "1 2\nbranch: fixed\np: ++ -> ++\nq: ++ -> ++\nsign: 1 -> 1\n",
+    ("Psi", "1 4 5 2 3"): "4 1 5 2 3\nbranch: Q-psi-forward\n"
+    "p: +++-- -> +++--\nq: +++-- -> +-+-+\nsign: 1 -> -1\n",
+    ("Psi", "2 1 4 3"): "3 1 4 2\nbranch: P-side\n"
+    "p: +-+- -> ++--\nq: +-+- -> +-+-\nsign: 1 -> -1\n",
+    ("delshift", "4 1 2 5 7 8 3 6 9 12 10 11"): "4 1 2 5 7 8 3 6 9 10 12 11\n"
+    "ldes: 10 -> lind: 11\n",
+    ("phi", "+++--+-++++-"): "epsilon: 6\n+++---+++++-\n",
+    ("psi", "+++--"): "class: A*  delta: 3  direction: forward\n+-+-+\n",
+    ("psi", "+-+-+"): "class: B*+  delta: 3  direction: inverse\n+++--\n",
+}
 
 
 def _stdout_digest(capsys, monkeypatch, argv):
@@ -97,8 +125,63 @@ def test_verify_report_bytes_with_two_workers(capsys, monkeypatch, label):
 
 @pytest.mark.parametrize("statistic,fmt", sorted(STATS_DIGESTS))
 def test_stats_report_bytes(capsys, monkeypatch, statistic, fmt):
-    argv = ["stats", "--n", "8", "--by", statistic, "--" + fmt]
+    argv = ["stats", "--n", "8", "--by", statistic] + FORMAT_FLAGS[fmt]
     assert _stdout_digest(capsys, monkeypatch, argv) == STATS_DIGESTS[(statistic, fmt)]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
+@pytest.mark.parametrize(
+    "argv,stem,digests,key",
+    [
+        (["stats", "--n", "8", "--by", "lis"], "stats-lis-n8", STATS_DIGESTS, "lis"),
+        (
+            ["verify", "--identity", "thm1.1", "--n-max", "8"],
+            "verify-thm1.1-n8",
+            VERIFY_DIGESTS,
+            "thm1.1",
+        ),
+    ],
+    ids=["stats", "verify"],
+)
+def test_output_dir_file_holds_the_stdout_bytes(
+    capsys, monkeypatch, tmp_path, argv, stem, digests, key, fmt
+):
+    monkeypatch.setenv("SIGNBALANCE321_OUTPUT_DIR", str(tmp_path))
+    digest = _stdout_digest(capsys, monkeypatch, argv + FORMAT_FLAGS[fmt])
+    assert digest == digests[(key, fmt)]
+    written = tmp_path / f"{stem}.{EXTENSIONS[fmt]}"
+    assert [p.name for p in tmp_path.iterdir()] == [written.name]
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == digest
+
+
+def test_failing_verify_text_bytes(capsys, monkeypatch):
+    real = identities._sign
+    monkeypatch.setattr(
+        identities, "_sign", lambda values: -real(values) if values[0] == 1 else real(values)
+    )
+    assert main(["verify", "--identity", "prop2.1", "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == (
+        'prop2.1 n=1: FAIL  lhs={"even": 1, "odd": 0, "violations": 1}  '
+        'rhs={"even": 0, "odd": 1, "violations": 0}  counterexample: 1'
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_DIGEST
+    assert err == "counterexample at n=1: 1\n"
+
+
+@pytest.mark.parametrize("emit", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_bytes(capsys, monkeypatch, emit):
+    argv = ["enumerate", "--n", "6", "--emit", emit]
+    assert _stdout_digest(capsys, monkeypatch, argv) == ENUMERATE_DIGESTS[emit]
+
+
+@pytest.mark.parametrize("which,text", sorted(MAP_AUDITS))
+def test_map_audit_bytes(capsys, which, text):
+    argv = ["map", "--which", which, "--input", text, "--audit"]
+    if which == "psi":
+        argv += ["--d", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (MAP_AUDITS[(which, text)], "")
 
 
 def test_verify_help_bytes(capsys, monkeypatch):

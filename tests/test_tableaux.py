@@ -9,6 +9,7 @@ from signbalance321 import (
     ThirdRowRequired,
     TwoRowTableau,
     ballot_to_tableau,
+    delta,
     descent_set,
     generate_Tn_ballot,
     generate_ballot_sequences,
@@ -16,7 +17,6 @@ from signbalance321 import (
     inverse,
     inverse_rsk,
     ldes,
-    ldes_from_recording,
     lis_oracle,
     parse_ballot,
     parse_permutation,
@@ -49,6 +49,13 @@ class TestTwoRowTableau:
         ],
     )
     def test_invalid(self, rows):
+        with pytest.raises(MalformedTableau):
+            TwoRowTableau(*rows)
+
+    @pytest.mark.parametrize(
+        "rows", [((1.0, 2.0), (3.0,)), ((1, 2), (3.0,)), ((True,), ())]
+    )
+    def test_non_integer_entries_rejected(self, rows):
         with pytest.raises(MalformedTableau):
             TwoRowTableau(*rows)
 
@@ -149,9 +156,9 @@ class TestBallotDictionary:
 
 class TestRecordingReaders:
     def test_examples(self):
-        assert ldes_from_recording(FIG_Q) == 10
-        assert ldes_from_recording(TwoRowTableau((1, 2, 3))) == 0
-        assert ldes_from_recording(TwoRowTableau((1, 2), (3,))) == 2
+        assert delta(tableau_to_ballot(FIG_Q)) == 10
+        assert delta(tableau_to_ballot(TwoRowTableau((1, 2, 3)))) == 0
+        assert delta(tableau_to_ballot(TwoRowTableau((1, 2), (3,)))) == 2
 
     def test_descents_read_from_recording(self):
         for n in range(1, 10):
@@ -160,4 +167,4 @@ class TestRecordingReaders:
                 in_row2 = set(q.row2)
                 expected = tuple(i for i in q.row1 if i + 1 in in_row2)
                 assert descent_set(w) == expected
-                assert ldes_from_recording(q) == ldes(w)
+                assert delta(tableau_to_ballot(q)) == ldes(w)
