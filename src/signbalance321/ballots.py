@@ -121,12 +121,21 @@ def _iter_ballot_tuples(n: int, ones: int | None = None) -> Iterator[tuple[int, 
     yield from rec(0, 0, ones)
 
 
+def _check_size(n: int) -> None:
+    # type(n) is int: a bool or a float that equals an integer is no size.
+    if type(n) is not int:
+        raise ValueError(f"size must be an int, got n = {n!r}")
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got n = {n}")
+
+
 def generate_ballot_sequences(n: int, ones: int | None = None) -> Iterator[BallotSequence]:
     """Stream all ballot sequences of length n in lexicographic order,
     optionally restricted to a fixed number of +1 entries.  Raises
-    ValueError for n < 0."""
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got n = {n}")
+    ValueError unless n is a nonnegative int and ones None or an int."""
+    _check_size(n)
+    if ones is not None and type(ones) is not int:
+        raise ValueError(f"ones must be None or an int, got {ones!r}")
     for entries in _iter_ballot_tuples(n, ones):
         yield BallotSequence(entries)
 

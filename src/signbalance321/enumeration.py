@@ -21,11 +21,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations as _sym_group
+from itertools import permutations as _sym_group, starmap
 from math import comb
 from typing import Iterator, Mapping
 
-from .ballots import _iter_ballot_tuples
+from .ballots import _check_size, _iter_ballot_tuples
 from .errors import LimitExceeded
 from .permutations import Permutation, _is_321_avoiding, _ldes, _lis, _sign
 from .tableaux import _values_from_ballots
@@ -100,11 +100,6 @@ def psi_fixed_point_count(n: int, d: int) -> int:
     return ballot_number((n + d - 2) // 2, (n - 2) // 2)
 
 
-def _check_size(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got n = {n}")
-
-
 def _check_filter_cap(n: int, allow_large: bool) -> None:
     _check_size(n)
     if n <= FILTER_CAP:
@@ -157,9 +152,10 @@ def _sides(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_iter_ballot_tuples(n, k))
 
 
-def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    """One-line value tuples of the permutations of T_n at positions start
-    up to (not including) stop of the enumeration, in enumeration order."""
+def _iter_tn_pairs(n: int, start: int, stop: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The ballot pairs (p, q) of T_n at positions start up to (not
+    including) stop of the enumeration, in enumeration order: weight
+    ascending, insertion side p outer, recording side q inner."""
     position = 0  # enumeration position of the current weight's first pair
     for k in range(n + 1):
         count = ballot_number(n, k)
@@ -169,9 +165,16 @@ def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
                 first = position + i * count  # position of (side[i], side[0])
                 if first >= stop:
                     return
+                p = side[i]
                 for q in side[max(start - first, 0):stop - first]:
-                    yield _values_from_ballots(side[i], q)
+                    yield p, q
         position += count * count
+
+
+def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    """One-line value tuples of the permutations of T_n at positions start
+    up to (not including) stop of the enumeration, in enumeration order."""
+    return starmap(_values_from_ballots, _iter_tn_pairs(n, start, stop))
 
 
 def _iter_tn_values(n: int) -> Iterator[tuple[int, ...]]:
@@ -349,7 +352,7 @@ def signed_polynomial(
             f"statistics must be ('lis',), ('ldes',) or ('lis', 'ldes'), got {statistics!r}"
         )
     for name, parity in (("lis_parity", lis_parity), ("ldes_parity", ldes_parity)):
-        if parity not in (None, 0, 1):
+        if not (parity is None or type(parity) is int and parity in (0, 1)):
             raise ValueError(f"{name} must be None, 0 or 1, got {parity!r}")
     _check_ballot_cap(n, allow_large)
     return _signed_polynomial(n, statistics, lis_parity, ldes_parity)

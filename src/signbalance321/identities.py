@@ -157,57 +157,38 @@ def _strip_zeros(mapping: dict) -> dict[str, int]:
     return {str(k): v for k, v in sorted(mapping.items()) if v != 0}
 
 
-def _unsigned_univariate(m: int, statistic: str, offset: int) -> SignedPolynomial:
-    """Plain counting polynomial of T_m with exponents 2*value + offset."""
-    dist = _signed_distribution(m, statistic)
-    return SignedPolynomial.from_terms(
-        {(2 * v + offset,): e + o for v, (e, o) in dist.rows.items()}
-    )
+def _in_q_squared(counts: dict[int, int]) -> SignedPolynomial:
+    """The polynomial sum of c_k q^(2k) over the counts k -> c_k."""
+    return SignedPolynomial.from_terms({(2 * k,): c for k, c in counts.items()})
 
 
-def _unsigned_bivariate(m: int) -> SignedPolynomial:
-    """Counting polynomial of T_m with exponents (2*lis + 1, 2*ldes)."""
-    terms: Counter = Counter()
-    for k, d, _l, _s, c in _joint_rows(m):
-        terms[2 * k + 1, 2 * d] += c
-    return SignedPolynomial.from_terms(terms)
+def _thm1_1_rhs(n: int, lis_counts: dict[int, int]) -> SignedPolynomial:
+    """Theorem 1.1's right-hand side from the lis counts c_k of the half
+    size (n - 1) // 2: q * sum of c_k q^(2k), times (q - 1) for even n."""
+    rhs = _in_q_squared(lis_counts).shift(1)
+    return rhs if n % 2 else SignedPolynomial.from_terms({(1,): 1, (0,): -1}) * rhs
 
 
 def _check_thm1_1(n: int) -> _Compared:
     lhs = _signed_polynomial(n, ("lis",))
-    if n % 2:
-        rhs = _unsigned_univariate((n - 1) // 2, "lis", 1)
-    else:
-        q_minus_one = SignedPolynomial.from_terms({(1,): 1, (0,): -1})
-        rhs = q_minus_one * _unsigned_univariate((n - 2) // 2, "lis", 1)
+    rhs = _thm1_1_rhs(n, _signed_distribution((n - 1) // 2, "lis").counts())
     return lhs.as_map(), rhs.as_map(), None
 
 
 def _check_thm4_1(n: int) -> _Compared:
     lhs = _signed_polynomial(n, ("ldes",))
-    if n % 2:
-        rhs = _unsigned_univariate((n - 1) // 2, "ldes", 0)
-    else:
-        one_minus_q = SignedPolynomial.from_terms({(0,): 1, (1,): -1})
-        rhs = one_minus_q * _unsigned_univariate(n // 2, "ldes", 0)
+    rhs = _in_q_squared(_signed_distribution(n // 2, "ldes").counts())
+    if n % 2 == 0:
+        rhs = SignedPolynomial.from_terms({(0,): 1, (1,): -1}) * rhs
     return lhs.as_map(), rhs.as_map(), None
 
 
 def _check_eo_identities(n: int) -> _Compared:
+    # Theorem 1.1 per lis value; T_m has B(m, k)^2 permutations of lis k.
+    m = (n - 1) // 2
+    expected = _thm1_1_rhs(n, {k: ballot_number(m, k) ** 2 for k in range(m + 1)})
     observed = _signed_distribution(n, "lis").signed()
-    expected: dict[int, int] = {}
-    for j in range(1, n + 1):
-        if n % 2:
-            m = (n - 1) // 2
-            value = ballot_number(m, (j - 1) // 2) ** 2 if j % 2 else 0
-        else:
-            m = (n - 2) // 2
-            if j % 2:
-                value = -(ballot_number(m, (j - 1) // 2) ** 2)
-            else:
-                value = ballot_number(m, (j - 2) // 2) ** 2
-        expected[j] = value
-    return _strip_zeros(observed), _strip_zeros(expected), None
+    return _strip_zeros(observed), expected.as_map(), None
 
 
 def _step_prop2_1(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
@@ -275,23 +256,27 @@ def _check_prop3_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _step_phi_involution(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+def _check_involution(core: Callable, w: tuple[int, ...], bad: _Violations) -> tuple:
+    """Check at w the clauses of every sign-reversing involution ``core`` on
+    ballot pairs, and return the core's branch and the image of w."""
     p, q = _rsk_ballots(w)
-    branch, *image_pair = _phi_pair(p, q)
-    image = w if branch == "fixed" else _values_from_ballots(*image_pair)
-    k = _lis(w)
-    bad.hit(_lis(image) == k, w)
-    bad.hit(_phi_pair(*_rsk_ballots(image))[1:] == (p, q), w)
-    bad.hit((branch == "fixed") == (image == w), w)
-    if branch == "fixed":
-        seen[k] += 1
-        s = _sign(w)
-        if n % 2:
-            bad.hit(s == 1, w)
-        else:
-            bad.hit(s == (1 if k % 2 == 0 else -1), w)
-    else:
+    branch, *image_pair = core(p, q)
+    fixed = branch == "fixed"
+    image = w if fixed else _values_from_ballots(*image_pair)
+    bad.hit(core(*_rsk_ballots(image))[1:] == (p, q), w)
+    bad.hit(_lis(image) == _lis(w), w)
+    bad.hit(fixed == (image == w), w)
+    if not fixed:
         bad.hit(_sign(image) == -_sign(w), w)
+    return branch, image
+
+
+def _step_phi_involution(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+    branch, _image = _check_involution(_phi_pair, w, bad)
+    if branch == "fixed":
+        k = _lis(w)
+        seen[k] += 1
+        bad.hit(_sign(w) == (1 if n % 2 or k % 2 == 0 else -1), w)
 
 
 def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -344,21 +329,12 @@ def _finish_lemma4_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
 
 
 def _step_prop4_3(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
-    p, q = _rsk_ballots(w)
-    branch, *image_pair = _psi_pair(p, q)
-    image = w if branch == "fixed" else _values_from_ballots(*image_pair)
-    k = _lis(w)
+    branch, image = _check_involution(_psi_pair, w, bad)
     d = _ldes(w)
-    s = _sign(w)
-    bad.hit(_psi_pair(*_rsk_ballots(image))[1:] == (p, q), w)
-    bad.hit(_lis(image) == k, w)
     bad.hit(_ldes(image) == d, w)
-    bad.hit((branch == "fixed") == (image == w), w)
     if branch == "fixed":
         seen[d] += 1
-        bad.hit((s == -1) == (n % 2 == 0 and d % 2 == 1), w)
-    else:
-        bad.hit(_sign(image) == -s, w)
+        bad.hit((_sign(w) == -1) == (n % 2 == 0 and d % 2 == 1), w)
 
 
 def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -374,8 +350,11 @@ def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
 
 
 def _check_cor4_4(n: int) -> _Compared:
-    # Half size is (n - 1) / 2 for odd n and n / 2 for even n.
-    lhs = _unsigned_bivariate(n // 2)
+    # The counting polynomial of T_(n // 2) in (2 * lis + 1, 2 * ldes).
+    terms: Counter = Counter()
+    for k, d, _l, _s, c in _joint_rows(n // 2):
+        terms[2 * k + 1, 2 * d] += c
+    lhs = SignedPolynomial.from_terms(terms)
     rhs = _signed_polynomial(n, ("lis", "ldes"), lis_parity=1, ldes_parity=0)
     if n % 2 == 0:
         rhs += _signed_polynomial(
@@ -510,6 +489,8 @@ def _claim(identity: str) -> _Claim:
 
 def applicable_sizes(identity: str, n_max: int) -> list[int]:
     """Sizes at which the labelled identity is claimed, up to n_max."""
+    if type(n_max) is not int:
+        raise ValueError(f"size must be an int, got n_max = {n_max!r}")
     return list(range(_claim(identity).start, n_max + 1))
 
 
@@ -622,8 +603,8 @@ def verify(
     asked for, so that no report can pass over zero checks.
     """
     sizes = _applicable(identity, n_max)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
     _check_ballot_cap(max(sizes), allow_large)
     return VerificationReport(identity, n_max, _check_sizes(identity, sizes, workers))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ballots import BallotClassTag, _classify, _delta, _epsilon, _phi, _psi, _psi_inverse
-from .enumeration import _check_ballot_cap, _sides
+from .enumeration import _check_ballot_cap, _iter_tn_pairs, catalan
 from .errors import Not321Avoiding
 from .permutations import Permutation, _is_321_avoiding, _ldes
 from .tableaux import _rsk_ballots, _values_from_ballots
@@ -152,13 +152,9 @@ def fixed_points_of(which: str, n: int, allow_large: bool = False) -> list[Permu
         raise ValueError(f"unknown map {which!r}, expected 'Phi' or 'Psi'")
     core = cores[which]
     _check_ballot_cap(n, allow_large)
-    # The maps act on ballot pairs: walk the pairs of T_n in enumeration
-    # order (weight ascending, insertion side outer) and decode only the
-    # fixed points.
+    # The maps act on ballot pairs: decode only the fixed points.
     return [
         Permutation(_values_from_ballots(p, q))
-        for k in range(n + 1)
-        for p in _sides(n, k)
-        for q in _sides(n, k)
+        for p, q in _iter_tn_pairs(n, 0, catalan(n))
         if core(p, q)[0] == "fixed"
     ]

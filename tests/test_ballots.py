@@ -27,7 +27,8 @@ class TestConstruction:
     def test_parse_and_str(self):
         b = parse_ballot(FIG_P)
         assert str(b) == FIG_P
-        assert b.n == 12
+        assert b.n == 12 == len(b)
+        assert tuple(b) == b.entries
         assert parse_ballot("").n == 0
 
     def test_entries_validated(self):
@@ -140,6 +141,18 @@ class TestGeneration:
             with pytest.raises(ValueError, match=f"size must be nonnegative, got n = {n}"):
                 list(generate_ballot_sequences(n))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_int_size_rejected(self, n):
+        # No ballot length is 2.5, and 3.0 and True compare equal to 3 and 1.
+        with pytest.raises(ValueError, match=f"size must be an int, got n = {n!r}"):
+            list(generate_ballot_sequences(n))
+
+    @pytest.mark.parametrize("ones", [2.5, True])
+    def test_non_int_ones_rejected(self, ones):
+        # A float count would match sequences of two different weights.
+        with pytest.raises(ValueError, match=f"ones must be None or an int, got {ones!r}"):
+            list(generate_ballot_sequences(4, ones))
+
 
 class TestPhi:
     def test_examples(self):
@@ -167,13 +180,27 @@ class TestPsi:
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+-+"), 1)
 
+    @pytest.mark.parametrize("text,d", [("+-", 1), ("+++", 0)])
+    def test_target_descent_must_be_odd_and_at_least_three(self, text, d):
+        # Class A* with delta = d, so only the descent guard can reject it.
+        with pytest.raises(NotInDomain, match=f"odd target descent >= 3, got {d}"):
+            psi(parse_ballot(text), d)
+
+    def test_inverse_rejects_a_delta_mismatch(self):
+        with pytest.raises(NotInDomain, match="delta = 1, got 3"):
+            psi_inverse(parse_ballot("+-+-+"), 1)
+
     def test_domain_guards(self):
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+-+-+"), 3)  # class B*, not A*
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+++--"), 5)  # delta mismatch
         with pytest.raises(NotInDomain):
-            psi(parse_ballot("+++-"), 3)  # no -1 beyond position d + 1
+            # One -1 entry.  The guard "a -1 beyond position d + 1" rejects
+            # nothing that passes this one: in class A* the -1 entries pair
+            # up as positions (2i, 2i + 1), so when none lies beyond d + 1
+            # the -1 at the even position d + 1 = n is unpaired.
+            psi(parse_ballot("+++-"), 3)
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+++---"), 3)  # odd number of -1 entries
         with pytest.raises(NotInDomain):

@@ -14,6 +14,7 @@ from signbalance321 import (
     signed_distribution,
     signed_polynomial,
 )
+from signbalance321 import enumeration
 from signbalance321.ballots import _iter_ballot_tuples
 from signbalance321.enumeration import _iter_tn_slice, _iter_tn_values
 from signbalance321.tableaux import _values_from_ballots
@@ -106,6 +107,19 @@ class TestGenerators:
             gen = generate_Tn_ballot(15, allow_large=True)
             next(gen)
 
+    def test_filter_override_warns(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "FILTER_CAP", 3)
+        with pytest.raises(LimitExceeded, match="filter generator capped at n = 3"):
+            next(generate_Tn_filter(4))
+        with pytest.warns(RuntimeWarning, match="filtering all 4! permutations"):
+            assert len(list(generate_Tn_filter(4, allow_large=True))) == catalan(4)
+
+    @pytest.mark.parametrize("gen", [generate_Tn_ballot, generate_Tn_filter])
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_non_int_size_rejected(self, gen, n):
+        with pytest.raises(ValueError, match=f"size must be an int, got n = {n!r}"):
+            next(gen(n))
+
     def test_slices_partition_enumeration(self):
         # The whole enumeration is catalan(n) distinct words in ballot-pair
         # order: weight ascending, insertion side outer, recording side
@@ -170,6 +184,8 @@ class TestSignedDistribution:
         for stat in ("lis", "ldes", "lind"):
             with pytest.raises(ValueError, match="nonnegative"):
                 signed_distribution(-1, stat)
+            with pytest.raises(ValueError, match="size must be an int, got n = 5.0"):
+                signed_distribution(5.0, stat)
 
 
 class TestSignedPolynomial:
@@ -204,7 +220,12 @@ class TestSignedPolynomial:
 
     def test_parity_filters_reject_other_values(self):
         # Any other value would match no row and give a silent zero polynomial.
-        for kwargs in ({"lis_parity": 2}, {"ldes_parity": "0"}, {"lis_parity": -1}):
+        # True and 1.0 compare equal to 1, so only a type check tells them apart.
+        cases = (
+            {"lis_parity": 2}, {"ldes_parity": "0"}, {"lis_parity": -1},
+            {"lis_parity": True}, {"lis_parity": 1.0}, {"ldes_parity": False},
+        )
+        for kwargs in cases:
             name, value = next(iter(kwargs.items()))
             with pytest.raises(ValueError, match=f"{name} must be None, 0 or 1, got {value!r}"):
                 signed_polynomial(4, ("lis", "ldes"), **kwargs)

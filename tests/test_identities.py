@@ -64,9 +64,25 @@ def test_check_identity_at_rejects_sizes_below_first():
 
 
 def test_verify_rejects_bad_worker_count():
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match=f"got {workers}"):
+    for workers in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match=f"workers must be an int of at least 1, got {workers}"):
             verify("prop2.1", 3, workers=workers)
+
+
+@pytest.mark.parametrize("run", [verify, check_identity_at])
+@pytest.mark.parametrize("n", [5.0, True])
+def test_non_int_size_rejected(run, n):
+    # True compares equal to 1, and a row must not report "n": true.
+    with pytest.raises(ValueError, match=f"size must be an int, got n_max = {n!r}"):
+        run("prop2.1", n)
+
+
+@pytest.mark.parametrize("label", IDENTITY_LABELS)
+def test_check_identity_at_is_the_last_row_of_verify(label):
+    n = identities._REGISTRY[label].start + 3
+    check = check_identity_at(label, n)
+    assert check.passed and check.n == n
+    assert check == verify(label, n).checks[-1]
 
 
 def test_applicable_sizes():
@@ -345,6 +361,40 @@ def test_thm5_1_step_checks_both_inverse_directions(monkeypatch, wrong_at):
     bad, seen = identities._Violations(), Counter()
     identities._REGISTRY["thm5.1"].checker.step(n, w.values, bad, seen)
     assert (bad.count, bad.witness) == (1, str(w))
+
+
+@pytest.mark.parametrize(
+    "broken,violations",
+    [("sends back", 1), ("keeps lis", 1), ("fixed iff", 2), ("flips sign", 1)],
+)
+def test_involution_check_counts_each_broken_clause(monkeypatch, broken, violations):
+    # Phi moves w = 2 3 1 to 1 3 2.  Each fault breaks one clause at w; a
+    # core that claims to move w but leaves it in place also leaves its sign.
+    w, image = (2, 3, 1), (1, 3, 2)
+    core = identities._phi_pair
+    if broken == "sends back":
+        pair = identities._rsk_ballots(w)
+        fake = lambda p, q: core(p, q) if (p, q) == pair else ("fixed", p, q)
+    elif broken == "fixed iff":
+        fake, image = (lambda p, q: ("P-side", p, q)), w
+    else:
+        fake = core
+        name = "_lis" if broken == "keeps lis" else "_sign"
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda v: -real(v) if v == image else real(v))
+    bad = identities._Violations()
+    assert identities._check_involution(fake, w, bad) == ("P-side", image)
+    assert (bad.count, bad.witness) == (violations, "2 3 1")
+
+
+def test_psi_step_checks_that_ldes_is_kept(monkeypatch):
+    # Psi, like Phi, moves w = 2 3 1 to 1 3 2; an ldes wrong at the image
+    # only breaks the one clause Psi adds to the shared ones.
+    real = identities._ldes
+    monkeypatch.setattr(identities, "_ldes", lambda v: real(v) + (v == (1, 3, 2)))
+    bad, seen = identities._Violations(), Counter()
+    identities._REGISTRY["prop4.3"].checker.step(3, (2, 3, 1), bad, seen)
+    assert (bad.count, bad.witness) == (1, "2 3 1")
 
 
 def test_thm5_1_sweep_keeps_only_fiber_counts():

@@ -163,6 +163,8 @@ class TestFixedPoints:
     def test_size_caps(self):
         with pytest.raises(ValueError):
             fixed_points_of("Phi", -1)
+        with pytest.raises(ValueError, match="size must be an int, got n = 3.0"):
+            fixed_points_of("Phi", 3.0)
         with pytest.raises(LimitExceeded):
             fixed_points_of("Psi", 15)
 
@@ -184,6 +186,8 @@ class TestDeleteReinsert:
             ldes_lind_bijection(Permutation((3, 2, 1)))
         with pytest.raises(Not321Avoiding):
             ldes_lind_inverse(Permutation((3, 2, 1)))
+        with pytest.raises(ValueError, match="empty permutation"):
+            ldes_lind_inverse(Permutation(()))
 
     def test_bijection_sweep(self):
         for n in range(1, 9):

@@ -17,6 +17,7 @@ from signbalance321 import (
     sign_by_srs,
     srs,
 )
+from signbalance321 import matching
 
 FIG = parse_permutation("4 1 2 5 7 8 3 6 9 12 10 11")
 
@@ -55,6 +56,12 @@ class TestSrs:
         for n in range(8):
             for w in generate_Tn_ballot(n):
                 assert srs(w, cross_check=True) == srs(w)
+
+    def test_cross_check_raises_when_the_matching_disagrees(self, monkeypatch):
+        monkeypatch.setattr(matching, "match_pairs", lambda w: matching.Matching(()))
+        assert srs(FIG) == 56
+        with pytest.raises(AssertionError, match="differs from matched-pair sum 0"):
+            srs(FIG, cross_check=True)
 
     def test_not_avoiding_rejected(self):
         with pytest.raises(Not321Avoiding):

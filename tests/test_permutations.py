@@ -95,7 +95,9 @@ def random_inputs(seed=321):
 
 class TestConstruction:
     def test_valid(self):
-        assert Permutation((2, 3, 1)).n == 3
+        w = Permutation((2, 3, 1))
+        assert w.n == len(w) == 3
+        assert tuple(w) == w.values
         assert Permutation(()).n == 0
 
     @pytest.mark.parametrize("bad", [(1, 1), (2, 3), (0, 1), (1, 2, 4)])

@@ -16,6 +16,8 @@ from signbalance321 import (
     sign_by_inversions,
     tableau_to_ballot,
 )
+from signbalance321.enumeration import _sides
+from signbalance321.tableaux import _values_from_ballots
 
 
 @st.composite
@@ -37,6 +39,15 @@ def ballots_st(draw, max_size=40):
         entries.append(e)
         total += e
     return BallotSequence(tuple(entries))
+
+
+@st.composite
+def ballot_pairs_st(draw, max_size=16):
+    # Two independent ballot tuples of one length n and one weight k: the
+    # same-shape pairs that encode the 321-avoiding permutations of size n.
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    side = _sides(n, draw(st.integers(min_value=(n + 1) // 2, max_value=n)))
+    return draw(st.sampled_from(side)), draw(st.sampled_from(side))
 
 
 def cycle_count(values):
@@ -77,26 +88,23 @@ def test_inverse_preserves_inversions(w):
 
 
 @settings(max_examples=60)
-@given(ballots_st(max_size=24))
-def test_ballot_pair_round_trip(b):
-    # Insertion of the reconstructed word reproduces the pair built from any
-    # ballot sequence paired with itself.
+@given(ballot_pairs_st())
+def test_ballot_pair_round_trip(pair):
+    # Insertion of the reconstructed word reproduces the pair it came from.
     from signbalance321 import TableauPair, ballot_to_tableau
 
-    t = ballot_to_tableau(b)
-    pair = TableauPair(t, t)
-    w = inverse_rsk(pair)
+    p, q = (BallotSequence(side) for side in pair)
+    w = inverse_rsk(TableauPair(ballot_to_tableau(p), ballot_to_tableau(q)))
     assert is_321_avoiding(w)
     again = rsk(w)
-    assert tableau_to_ballot(again.insertion) == b
-    assert tableau_to_ballot(again.recording) == b
+    assert tableau_to_ballot(again.insertion) == p
+    assert tableau_to_ballot(again.recording) == q
 
 
 @settings(max_examples=60)
-@given(st.permutations(tuple(range(1, 8))))
-def test_rsk_round_trip_on_avoiding_inputs(values):
-    w = Permutation(tuple(values))
-    if not is_321_avoiding(w):
-        return
+@given(ballot_pairs_st())
+def test_rsk_round_trip_on_avoiding_inputs(pair):
+    # Every drawn word is 321-avoiding: it is decoded from a ballot pair.
+    w = Permutation(_values_from_ballots(*pair))
     assert inverse_rsk(rsk(w)) == w
     assert len(rsk(w).insertion.row1) == lis_oracle(w)
