@@ -265,8 +265,8 @@ def phi(b: BallotSequence) -> BallotSequence:
 def psi(b: BallotSequence, d: int) -> BallotSequence:
     """Exchange the entry at position d - 1 with the last -1 entry.
 
-    Domain: b in class A* with delta(b) = d, d odd and at least 3, an even
-    number of -1 entries, and at least one -1 beyond position d + 1.  The
+    Domain: b in class A* with delta(b) = d, d odd and at least 3, and an
+    even number of -1 entries (which puts a -1 beyond position d + 1).  The
     image lies in B* (in fact ends with +1), keeps delta = d, and reverses
     the sign.
 
@@ -284,8 +284,6 @@ def psi(b: BallotSequence, d: int) -> BallotSequence:
         # With an odd number of -1 entries the trailing -1 run ends at an
         # even position and the exchange drives a prefix sum negative.
         raise NotInDomain(f"psi requires an even number of -1 entries in {b}")
-    if -1 not in entries[d + 1:]:
-        raise NotInDomain(f"psi requires a -1 beyond position {d + 1} in {b}")
     return BallotSequence(_psi(entries, d))
 
 

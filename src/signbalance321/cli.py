@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Callable
 
 from .ballots import BallotClassTag, classify, delta, epsilon, parse_ballot
@@ -230,6 +231,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signbalance321",

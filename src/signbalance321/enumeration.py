@@ -19,15 +19,17 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as _sym_group, starmap
 from math import comb
+from operator import add
 from typing import Iterator, Mapping
 
 from .ballots import _check_size, _iter_ballot_tuples
 from .errors import LimitExceeded
-from .permutations import Permutation, _is_321_avoiding, _ldes, _lis, _sign
+from .permutations import Permutation, _is_321_avoiding
 from .tableaux import _values_from_ballots
 
 __all__ = [
@@ -177,40 +179,45 @@ def _iter_tn_slice(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     return starmap(_values_from_ballots, _iter_tn_pairs(n, start, stop))
 
 
-def _iter_tn_values(n: int) -> Iterator[tuple[int, ...]]:
-    """One-line value tuples of all 321-avoiding permutations of size n, in
-    ballot-pair order (weight ascending, insertion side outer)."""
-    return _iter_tn_slice(n, 0, catalan(n))
-
-
 def generate_Tn_ballot(n: int, allow_large: bool = False) -> Iterator[Permutation]:
     """All 321-avoiding permutations of size n, each exactly once, produced
     from same-weight ballot pairs through reverse row insertion."""
     _check_ballot_cap(n, allow_large)
-    for values in _iter_tn_values(n):
-        yield Permutation(values)
+    yield from map(Permutation, _iter_tn_slice(n, 0, catalan(n)))
 
 
 @lru_cache(maxsize=None)
 def _joint_rows(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Cached sweep of T_n: sorted (lis, ldes, lind, sign, count) rows.
+    """Cached table of T_n: sorted (lis, ldes, lind, sign, count) rows.
 
-    Every statistic is computed from the permutation word itself (the
-    longest increasing subsequence by dynamic programming, the sign by
-    inversion count), not read off the generating ballot pair.  For n = 0
-    the lind slot holds 0 as an internal placeholder.  Callers check the
-    size caps.
+    Counted over the ballot pairs w <-> (p, q) in polynomial time; the tests
+    check it against a sweep of the words.  With k = #(+1 in p): lis = k,
+    ldes = delta(q), lind = the last +1 position of q if p ends in +1 and
+    delta(q) if not, sign = (-1)^(n - k) ballot_sign(p) ballot_sign(q) by
+    Prop 2.1.  Callers check the size caps.  For n = 0, lind holds 0.
     """
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for values in _iter_tn_values(n):
-        key = (
-            _lis(values),
-            _ldes(values),
-            values.index(n) + 1 if n else 0,
-            _sign(values),
-        )
-        acc[key] = acc.get(key, 0) + 1
-    return tuple(sorted((k, d, l, s, c) for (k, d, l, s), c in acc.items()))
+    # Ballot prefixes by (height, parity of the sum of the -1 positions, last
+    # entry, delta, last +1 position); the empty prefix, all 0, gives T_0's row.
+    states = {(0, 0, 0, 0, 0): 1}
+    for i in range(1, n + 1):
+        grown = defaultdict(int)
+        for (h, odd, last, d, plus), c in states.items():
+            grown[h + 1, odd, 1, d, i] += c
+            if h:
+                grown[h - 1, odd ^ i & 1, -1, i - 1 if last > 0 else d, plus] += c
+        states = grown
+    # Per k = (n + height) / 2 and parity: p by last entry, q by (delta, last +1).
+    p_side, q_side = defaultdict(int), defaultdict(lambda: defaultdict(int))
+    for (h, odd, last, d, plus), c in states.items():
+        k = (n + h) // 2
+        p_side[k, last, odd] += c
+        q_side[k][d, plus, odd] += c
+    rows = defaultdict(int)
+    for (k, last, odd_p), count_p in p_side.items():
+        for (d, plus, odd_q), count_q in q_side[k].items():
+            sign = -1 if (n - k + odd_p + odd_q) % 2 else 1
+            rows[k, d, plus if last > 0 else d, sign] += count_p * count_q
+    return tuple(sorted((*key, c) for key, c in rows.items()))
 
 
 @dataclass
@@ -248,9 +255,8 @@ class SignedPolynomial:
         return cls.from_terms({exponents: coeff})
 
     def __add__(self, other: "SignedPolynomial") -> "SignedPolynomial":
-        out = dict(self.coefficients)
-        for e, c in other.coefficients.items():
-            out[e] = out.get(e, 0) + c
+        out = Counter(self.coefficients)
+        out.update(other.coefficients)  # adds, keeping zero and negative sums
         return SignedPolynomial.from_terms(out)
 
     def __sub__(self, other: "SignedPolynomial") -> "SignedPolynomial":
@@ -264,7 +270,7 @@ class SignedPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.coefficients.items():
             for e2, c2 in other.coefficients.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return SignedPolynomial.from_terms(out)
 
@@ -273,18 +279,12 @@ class SignedPolynomial:
     def shift(self, *offsets: int) -> "SignedPolynomial":
         """Multiply by the monomial with the given exponent offsets."""
         return SignedPolynomial.from_terms(
-            {
-                tuple(a + b for a, b in zip(e, offsets)): c
-                for e, c in self.coefficients.items()
-            }
+            {tuple(map(add, e, offsets)): c for e, c in self.coefficients.items()}
         )
 
     def as_map(self) -> dict[str, int]:
         """JSON-friendly view: exponent tuples as comma-joined keys."""
-        return {
-            ",".join(str(x) for x in e): c
-            for e, c in sorted(self.coefficients.items())
-        }
+        return {",".join(map(str, e)): c for e, c in sorted(self.coefficients.items())}
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -294,9 +294,8 @@ def _signed_distribution(n: int, statistic: str) -> SignedDistribution:
     pick = STATISTICS.index(statistic)
     rows: dict[int, tuple[int, int]] = {}
     for row in _joint_rows(n):
-        value, s, count = row[pick], row[3], row[4]
-        e, o = rows.get(value, (0, 0))
-        rows[value] = (e + count, o) if s > 0 else (e, o + count)
+        e, o = rows.get(row[pick], (0, 0))
+        rows[row[pick]] = (e + row[4], o) if row[3] > 0 else (e, o + row[4])
     return SignedDistribution(statistic, n, dict(sorted(rows.items())))
 
 
@@ -304,7 +303,7 @@ def signed_distribution(
     n: int, statistic: str, allow_large: bool = False
 ) -> SignedDistribution:
     """Even and odd counts over T_n per value of the statistic, with the
-    sign taken from the inversion count."""
+    sign read off the ballot pair by Prop 2.1."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}, expected one of {STATISTICS}")
     if statistic == "lind" and n == 0:
@@ -319,14 +318,15 @@ def _signed_polynomial(
     lis_parity: int | None = None,
     ldes_parity: int | None = None,
 ) -> SignedPolynomial:
+    slots = slice(STATISTICS.index(statistics[0]), STATISTICS.index(statistics[-1]) + 1)
     terms: dict[tuple[int, ...], int] = {}
-    for k, d, _l, s, count in _joint_rows(n):
+    for row in _joint_rows(n):
+        k, d, _l, s, count = row
         if lis_parity is not None and k % 2 != lis_parity:
             continue
         if ldes_parity is not None and d % 2 != ldes_parity:
             continue
-        exps = tuple(k if name == "lis" else d for name in statistics)
-        terms[exps] = terms.get(exps, 0) + s * count
+        terms[row[slots]] = terms.get(row[slots], 0) + s * count
     return SignedPolynomial.from_terms(terms)
 
 

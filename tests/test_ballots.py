@@ -196,10 +196,8 @@ class TestPsi:
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+++--"), 5)  # delta mismatch
         with pytest.raises(NotInDomain):
-            # One -1 entry.  The guard "a -1 beyond position d + 1" rejects
-            # nothing that passes this one: in class A* the -1 entries pair
-            # up as positions (2i, 2i + 1), so when none lies beyond d + 1
-            # the -1 at the even position d + 1 = n is unpaired.
+            # One -1 entry, at d + 1 = n: rejected by the parity guard, which
+            # is all that keeps a -1 beyond d + 1 (see the round trip below).
             psi(parse_ballot("+++-"), 3)
         with pytest.raises(NotInDomain):
             psi(parse_ballot("+++---"), 3)  # odd number of -1 entries
@@ -209,8 +207,9 @@ class TestPsi:
             psi_inverse(parse_ballot("+-+-"), 3)  # no +1 beyond position d
 
     def test_round_trip_and_sign_reversal_exhaustive(self):
-        # Every epsilon-free sequence with odd delta >= 3, an even number of
-        # -1 entries, and a -1 beyond delta + 1, all lengths <= 14.
+        # Every epsilon-free sequence with odd delta >= 3 and an even number
+        # of -1 entries, all lengths <= 14.  Each has a -1 beyond delta + 1,
+        # so psi needs no guard for that beyond its parity guard.
         checked = 0
         for n in range(15):
             for b in generate_ballot_sequences(n):
@@ -219,11 +218,7 @@ class TestPsi:
                     continue
                 if (n - ones_count(b)) % 2:
                     continue
-                last_minus = max(
-                    (i for i, e in enumerate(b.entries, 1) if e < 0), default=0
-                )
-                if last_minus <= d + 1:
-                    continue
+                assert -1 in b.entries[d + 1:], str(b)
                 image = psi(b, d)
                 cls = classify(image)
                 assert cls.tag is BallotClassTag.B_STAR and cls.ends_plus

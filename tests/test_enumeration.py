@@ -16,7 +16,8 @@ from signbalance321 import (
 )
 from signbalance321 import enumeration
 from signbalance321.ballots import _iter_ballot_tuples
-from signbalance321.enumeration import _iter_tn_slice, _iter_tn_values
+from signbalance321.enumeration import _iter_tn_slice, _joint_rows, _signed_distribution
+from signbalance321.permutations import _ldes, _lis, _sign
 from signbalance321.tableaux import _values_from_ballots
 
 
@@ -127,7 +128,7 @@ class TestGenerators:
         # whole enumeration, none is empty, and each yields exactly
         # stop - start words.
         for n in range(11):
-            whole = list(_iter_tn_values(n))
+            whole = list(_iter_tn_slice(n, 0, catalan(n)))
             assert len(set(whole)) == len(whole) == catalan(n)
             sides = [list(_iter_ballot_tuples(n, k)) for k in range(n + 1)]
             assert whole == [
@@ -143,6 +144,57 @@ class TestGenerators:
                 assert [v for run in runs for v in run] == whole
                 for run, (start, stop) in zip(runs, bounds):
                     assert len(run) == stop - start > 0
+
+
+def _word_sweep_rows(n):
+    """The oracle for ``_joint_rows``: sorted (lis, ldes, lind, sign, count)
+    rows from a sweep of T_n, each statistic computed from the permutation
+    word (lis by dynamic programming, the sign by inversion count)."""
+    acc = {}
+    for values in _iter_tn_slice(n, 0, catalan(n)):
+        key = (_lis(values), _ldes(values), values.index(n) + 1 if n else 0, _sign(values))
+        acc[key] = acc.get(key, 0) + 1
+    return tuple(sorted((k, d, l, s, c) for (k, d, l, s), c in acc.items()))
+
+
+class TestJointRows:
+    @pytest.mark.parametrize("n", range(13))
+    def test_engine_matches_word_sweep(self, n):
+        assert _joint_rows(n) == _word_sweep_rows(n)
+
+    # Past the public cap of 16, against closed forms that do not read the
+    # engine; _signed_distribution folds the rows without a size cap.
+    LARGE = range(1, 41)
+
+    def test_lis_marginal(self):
+        for n in self.LARGE:
+            assert _signed_distribution(n, "lis").counts() == {
+                k: ballot_number(n, k) ** 2 for k in range((n + 1) // 2, n + 1)
+            }, n
+
+    def test_ldes_marginal(self):
+        for n in self.LARGE:
+            assert _signed_distribution(n, "ldes").counts() == {
+                d: ballot_number(n + d - 1, n - 1) for d in range(n)
+            }, n
+
+    def test_total(self):
+        for n in self.LARGE:
+            assert sum(row[4] for row in _joint_rows(n)) == catalan(n), n
+
+    def test_simion_schmidt_balance(self):
+        # Even minus odd: 0 for even n, C_((n - 1) / 2) for odd n.
+        for n in self.LARGE:
+            balance = sum(row[3] * row[4] for row in _joint_rows(n))
+            assert balance == (catalan((n - 1) // 2) if n % 2 else 0), n
+
+    def test_signed_lind_is_signed_ldes_plus_one_up_to_sign(self):
+        # Thm 5.1's sign statement with its factor (-1)^(n - 1).
+        for n in self.LARGE:
+            ldes = _signed_distribution(n, "ldes").signed()
+            assert _signed_distribution(n, "lind").signed() == {
+                d + 1: (-1) ** (n - 1) * c for d, c in ldes.items()
+            }, n
 
 
 class TestSignedDistribution:
