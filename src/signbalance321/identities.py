@@ -21,24 +21,29 @@ enumeration, the same for any worker count, which worker processes (at most
 one per CPU) check when there are several workers.  ``_run_task`` holds the
 one loop over a run: it feeds each permutation, as a value tuple, to the
 step, which records violations in a ``_Violations`` and what the size-wide
-checks need in a ``Counter``.  No step keys a count by a permutation or its
-image, so these counts stay small whatever Catalan(n).  They add up run by
-run in enumeration order, keeping the first witness, so the report is
-ordered by size and identical for any worker count.  Only ``verify`` and
-``check_identity_at`` validate; steps and checkers run on unchecked tuple
-cores, and a witness is rendered only when a clause fails.
+checks need in a ``Counter``.  The Phi and Psi sweeps name their ballot-pair
+core instead, and the loop feeds them ballot pairs: the two maps are
+sign-reversing involutions, so ``_check_involution`` checks each 2-orbit
+{w, image of w} once, at its earlier member in enumeration order, and skips
+the later member before decoding it.  No step keys a count by a permutation
+or its image, so these counts stay small whatever Catalan(n).  They add up
+run by run, keeping the witness with the smallest enumeration position, so
+the report is ordered by size and identical for any worker count.  Only
+``verify`` and ``check_identity_at`` validate; steps and checkers run on
+unchecked tuple cores, and a witness is rendered only when a clause fails.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import groupby
 from typing import Callable, NamedTuple
 
@@ -57,8 +62,10 @@ from .ballots import (
 from .enumeration import (
     SignedPolynomial,
     _check_ballot_cap,
+    _iter_tn_pairs,
     _iter_tn_slice,
     _joint_rows,
+    _sides,
     _signed_distribution,
     _signed_polynomial,
     a_star_count,
@@ -127,24 +134,44 @@ class VerificationReport:
 _Compared = tuple[dict[str, int], dict[str, int], "str | None"]
 
 
-class _Violations:
-    """Collects a violation count and the first offending witness."""
+# The key of a hit that names no ballot pair: after every pair's key.
+_LAST = (math.inf,)
 
-    def __init__(self, count: int = 0, witness: str | None = None):
+
+def _position(pair: tuple) -> tuple:
+    """The enumeration key (weight, p, q) of a ballot pair of T_n."""
+    return (pair[0].count(1), *pair)
+
+
+class _Violations:
+    """Collects a violation count and the first offending witness.
+
+    A hit at a permutation may name its ballot pair ``at``; the witness is
+    then the one with the smallest enumeration key, since the involution
+    sweeps check a 2-orbit's later member when they visit its earlier one.
+    Hits that name no pair (the size-wide checks, and the sweeps that visit
+    permutations in order) sort after every pair and keep the first witness.
+    """
+
+    def __init__(self, count: int = 0, witness: str | None = None, key: tuple = _LAST):
         self.count = count
         self.witness = witness
+        self.key = key
 
     def __add__(self, later: "_Violations") -> "_Violations":
-        # Violations of consecutive runs: the earlier run's witness wins.
-        witness = self.witness if self.witness is not None else later.witness
-        return _Violations(self.count + later.count, witness)
+        # Violations of consecutive runs: the smaller key wins, on a tie the
+        # earlier run's witness.
+        first = later if self.witness is None or later.key < self.key else self
+        return _Violations(self.count + later.count, first.witness, first.key)
 
-    def hit(self, ok: bool, witness) -> None:
+    def hit(self, ok: bool, witness, at: tuple | None = None) -> None:
         if not ok:
             self.count += 1
-            if self.witness is None:
+            key = _LAST if at is None else _position(at)
+            if self.witness is None or key < self.key:
                 is_word = isinstance(witness, tuple)  # a value tuple: one-line notation
                 self.witness = " ".join(map(str, witness)) if is_word else str(witness)
+                self.key = key
 
     def compared(self, lhs: dict[str, int], rhs: dict[str, int]) -> _Compared:
         """The compared maps with the violation count appended against an
@@ -256,27 +283,83 @@ def _check_prop3_1(n: int) -> _Compared:
     return bad.compared(_strip_zeros(observed), _strip_zeros(expected))
 
 
-def _check_involution(core: Callable, w: tuple[int, ...], bad: _Violations) -> tuple:
-    """Check at w the clauses of every sign-reversing involution ``core`` on
-    ballot pairs, and return the core's branch and the image of w."""
-    p, q = _rsk_ballots(w)
-    branch, *image_pair = core(p, q)
-    fixed = branch == "fixed"
-    image = w if fixed else _values_from_ballots(*image_pair)
-    bad.hit(core(*_rsk_ballots(image))[1:] == (p, q), w)
-    bad.hit(_lis(image) == _lis(w), w)
-    bad.hit(fixed == (image == w), w)
-    if not fixed:
-        bad.hit(_sign(image) == -_sign(w), w)
-    return branch, image
+@lru_cache(maxsize=None)
+def _ballot_set(n: int, k: int) -> frozenset:
+    return frozenset(_sides(n, k))
 
 
-def _step_phi_involution(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
-    branch, _image = _check_involution(_phi_pair, w, bad)
-    if branch == "fixed":
-        k = _lis(w)
-        seen[k] += 1
-        bad.hit(_sign(w) == (1 if n % 2 or k % 2 == 0 else -1), w)
+def _enumerated(n: int, pair: tuple) -> bool:
+    """Whether the pair is two length-n ballot tuples of one weight, so that
+    the sweep of T_n visits it."""
+    p, q = pair
+    side = _ballot_set(n, p.count(1))
+    return p in side and q in side
+
+
+def _check_involution(sweep: "_Sweep", n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
+    """Check the clauses of the sign-reversing involution ``sweep.core`` at
+    the ballot pair e, once per 2-orbit.
+
+    e and z form a 2-orbit when the core moves e to an enumerated pair z
+    and moves z back to e.  The visit at the earlier of the two checks both
+    permutations, each as its own visit would; the later one is skipped
+    before it is decoded.  Any other pair, a fixed point or (only under a
+    fault) a pair without such a partner, is checked alone.
+    """
+    core = sweep.core
+    moves = {e: core(*e)}  # core results by ballot pair
+    moved, z = moves[e][0] != "fixed", moves[e][1:]
+    orbit = moved and z != e and _enumerated(n, z)
+    if orbit:
+        moves[z] = core(*z)
+        orbit = moves[z][0] != "fixed" and moves[z][1:] == e
+        if orbit and _position(z) < _position(e):
+            return
+    w = _values_from_ballots(*e)
+    image = _values_from_ballots(*z) if moved else w
+    back = _rsk_ballots(image)
+    if back not in moves:
+        moves[back] = core(*back)
+    read_w = sweep.step(n, w)
+    read_image = read_w if image == w else sweep.step(n, image)
+    _check_visit(n, e, w, read_w, moved, image, read_image, moves[back][1:] == e, bad, seen)
+    if not orbit:
+        return
+    # The partner, enumerated at z, whose pair reads back as ``back``: its
+    # image is w, whose pair is e, unless the core is faulty.
+    partner_moved, partner_image = moves[back][0] != "fixed", moves[back][1:]
+    if partner_moved and partner_image == e:
+        y, read_y, sent_back = w, read_w, z == back
+    else:
+        y = _values_from_ballots(*partner_image) if partner_moved else image
+        read_y, sent_back = sweep.step(n, y), core(*_rsk_ballots(y))[1:] == back
+    _check_visit(n, z, image, read_image, partner_moved, y, read_y, sent_back, bad, seen)
+
+
+def _check_visit(
+    n: int, at: tuple, w: tuple[int, ...], read_w: tuple, moved: bool,
+    image: tuple[int, ...], read_image: tuple, sent_back: bool,
+    bad: _Violations, seen: Counter,
+) -> None:
+    """The clauses at the permutation w, enumerated at the pair ``at``, with
+    its image and the two readings of the sweep's step."""
+    sign, kept, tally, fixed_ok = read_w
+    bad.hit(sent_back, w, at)
+    for value, image_value in zip(kept, read_image[1]):
+        bad.hit(value == image_value, w, at)
+    bad.hit(moved == (image != w), w, at)
+    if moved:
+        bad.hit(read_image[0] == -sign, w, at)
+    else:
+        seen[tally] += 1
+        bad.hit(fixed_ok, w, at)
+
+
+def _step_phi_involution(n: int, w: tuple[int, ...]) -> tuple:
+    # Phi keeps lis; a fixed point is tallied by lis, with the sign
+    # (-1)^lis for even n and +1 for odd n.
+    k, s = _lis(w), _sign(w)
+    return s, (k,), k, s == (1 if n % 2 or k % 2 == 0 else -1)
 
 
 def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -328,13 +411,11 @@ def _finish_lemma4_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
     )
 
 
-def _step_prop4_3(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
-    branch, image = _check_involution(_psi_pair, w, bad)
-    d = _ldes(w)
-    bad.hit(_ldes(image) == d, w)
-    if branch == "fixed":
-        seen[d] += 1
-        bad.hit((_sign(w) == -1) == (n % 2 == 0 and d % 2 == 1), w)
+def _step_prop4_3(n: int, w: tuple[int, ...]) -> tuple:
+    # Psi keeps lis and ldes; a fixed point is tallied by ldes, and is odd
+    # exactly for even n and odd ldes.
+    k, s, d = _lis(w), _sign(w), _ldes(w)
+    return s, (k, d), d, (s == -1) == (n % 2 == 0 and d % 2 == 1)
 
 
 def _finish_prop4_3(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -416,10 +497,17 @@ class _Sweep(NamedTuple):
     ``_Violations``) and counts in ``seen`` (a ``Counter``) what the
     size-wide checks need.  ``finish(n, bad, seen)`` runs those checks once
     every run of T_n is stepped through and merged in enumeration order.
+
+    An involution sweep names its ballot-pair ``core``, and
+    ``_check_involution`` checks it pair by pair.  Its ``step(n, w)`` then
+    reads a permutation: its sign, the statistics the map keeps, and for a
+    fixed point the key it is counted under and whether its sign is the
+    claimed one.
     """
 
-    step: Callable[[int, tuple[int, ...], _Violations, Counter], None]
+    step: Callable
     finish: Callable[[int, _Violations, Counter], _Compared]
+    core: Callable | None = None
 
 
 class _Claim(NamedTuple):
@@ -445,7 +533,7 @@ _REGISTRY = {
         "ballot swap at epsilon is a sign-reversing involution;"
         " fixed-class counts match the closed form"),
     "phi-involution": _Claim(
-        1, _Sweep(_step_phi_involution, _finish_phi_involution),
+        1, _Sweep(_step_phi_involution, _finish_phi_involution, _phi_pair),
         "the lis-preserving involution on permutations:"
         " involutive, sign-reversing off fixed points, fixed counts squared"),
     "eo-identities": _Claim(
@@ -459,7 +547,7 @@ _REGISTRY = {
         "parity of sign under the A*/B*/Bx case split, plus"
         " the matching class counts"),
     "prop4.3": _Claim(
-        2, _Sweep(_step_prop4_3, _finish_prop4_3),
+        2, _Sweep(_step_prop4_3, _finish_prop4_3, _psi_pair),
         "the ldes-preserving involution: involutive, sign-reversing"
         " off fixed points, fixed counts per descent match the closed form"),
     "cor4.4": _Claim(
@@ -528,10 +616,15 @@ def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
     checker = _REGISTRY[identity].checker
     if bounds is None:
         return checker(n)
-    # The one loop over the permutations of a run of T_n.
+    # The one loop over a run of T_n: an involution sweep visits its ballot
+    # pairs, any other sweep its value tuples.
+    if checker.core is None:
+        walk, visit = _iter_tn_slice, checker.step
+    else:
+        walk, visit = _iter_tn_pairs, partial(_check_involution, checker)
     bad, seen = _Violations(), Counter()
-    for values in _iter_tn_slice(n, *bounds):
-        checker.step(n, values, bad, seen)
+    for item in walk(n, *bounds):
+        visit(n, item, bad, seen)
     return bad, seen
 
 

@@ -114,20 +114,24 @@ def parse_tableau(text: str) -> TwoRowTableau:
 
 def _rsk_ballots(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row-insert the word; return the insertion- and recording-side ballot
-    tuples.  Raises ThirdRowRequired on a second-row bump."""
+    tuples.  Raises ThirdRowRequired on a second-row bump.  The letters are
+    positive."""
     n = len(values)
     row1: list[int] = []
+    last = 0  # the first row's last letter, 0 while the row is empty
     row2_tail = 0
     p = [1] * n
     q = [1] * n
-    for pos in range(1, n + 1):
-        x = values[pos - 1]
-        if not row1 or x > row1[-1]:
+    for pos, x in enumerate(values):
+        if x > last:
             row1.append(x)
+            last = x
         else:
             idx = bisect_left(row1, x)
             y = row1[idx]
             row1[idx] = x
+            if y == last:
+                last = x
             if y < row2_tail:
                 raise ThirdRowRequired(
                     f"letter {y} bumped below an occupied second-row cell; "
@@ -135,7 +139,7 @@ def _rsk_ballots(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
                 )
             row2_tail = y
             p[y - 1] = -1
-            q[pos - 1] = -1
+            q[pos] = -1
     return tuple(p), tuple(q)
 
 

@@ -1,4 +1,5 @@
 """The verification driver: labels, reports, and output formats."""
+import functools
 import json
 import multiprocessing
 import os
@@ -368,33 +369,239 @@ def test_thm5_1_step_checks_both_inverse_directions(monkeypatch, wrong_at):
     [("sends back", 1), ("keeps lis", 1), ("fixed iff", 2), ("flips sign", 1)],
 )
 def test_involution_check_counts_each_broken_clause(monkeypatch, broken, violations):
-    # Phi moves w = 2 3 1 to 1 3 2.  Each fault breaks one clause at w; a
-    # core that claims to move w but leaves it in place also leaves its sign.
+    # Phi moves w = 2 3 1 to 1 3 2, and w comes first in T_3.  Each fault
+    # breaks one clause per visit; a core that claims to move w but leaves it
+    # in place also leaves its sign.  A fault that keeps the 2-orbit breaks
+    # the clause at both members, which the visit at w checks together.
     w, image = (2, 3, 1), (1, 3, 2)
-    core = identities._phi_pair
+    sweep = identities._REGISTRY["phi-involution"].checker
+    core = fake = sweep.core
+    pair = identities._rsk_ballots(w)
     if broken == "sends back":
-        pair = identities._rsk_ballots(w)
         fake = lambda p, q: core(p, q) if (p, q) == pair else ("fixed", p, q)
     elif broken == "fixed iff":
         fake, image = (lambda p, q: ("P-side", p, q)), w
     else:
-        fake = core
         name = "_lis" if broken == "keeps lis" else "_sign"
         real = getattr(identities, name)
         monkeypatch.setattr(identities, name, lambda v: -real(v) if v == image else real(v))
-    bad = identities._Violations()
-    assert identities._check_involution(fake, w, bad) == ("P-side", image)
-    assert (bad.count, bad.witness) == (violations, "2 3 1")
+    bad, seen = identities._Violations(), Counter()
+    identities._check_involution(sweep._replace(core=fake), 3, pair, bad, seen)
+    visits = 2 if fake is core else 1
+    assert (bad.count, bad.witness, seen) == (violations * visits, "2 3 1", Counter())
 
 
 def test_psi_step_checks_that_ldes_is_kept(monkeypatch):
     # Psi, like Phi, moves w = 2 3 1 to 1 3 2; an ldes wrong at the image
-    # only breaks the one clause Psi adds to the shared ones.
+    # only breaks the one clause Psi adds to the shared ones, at w and at
+    # its partner 1 3 2, which the visit at w also checks.
     real = identities._ldes
     monkeypatch.setattr(identities, "_ldes", lambda v: real(v) + (v == (1, 3, 2)))
     bad, seen = identities._Violations(), Counter()
-    identities._REGISTRY["prop4.3"].checker.step(3, (2, 3, 1), bad, seen)
-    assert (bad.count, bad.witness) == (1, "2 3 1")
+    sweep = identities._REGISTRY["prop4.3"].checker
+    identities._check_involution(sweep, 3, identities._rsk_ballots((2, 3, 1)), bad, seen)
+    assert (bad.count, bad.witness) == (2, "2 3 1")
+
+
+INVOLUTION_LABELS = ("phi-involution", "prop4.3")
+
+
+def _oracle_visit(label, n, w, bad, seen):
+    """The Phi/Psi clauses checked at one permutation, each at its own
+    visit: the per-permutation step that the 2-orbit sweep replaces."""
+    core = identities._REGISTRY[label].checker.core
+    p, q = identities._rsk_ballots(w)
+    branch, *image_pair = core(p, q)
+    fixed = branch == "fixed"
+    image = w if fixed else identities._values_from_ballots(*image_pair)
+    bad.hit(core(*identities._rsk_ballots(image))[1:] == (p, q), w)
+    bad.hit(identities._lis(image) == identities._lis(w), w)
+    bad.hit(fixed == (image == w), w)
+    if not fixed:
+        bad.hit(identities._sign(image) == -identities._sign(w), w)
+    if label == "prop4.3":
+        d = identities._ldes(w)
+        bad.hit(identities._ldes(image) == d, w)
+        if fixed:
+            seen[d] += 1
+            bad.hit((identities._sign(w) == -1) == (n % 2 == 0 and d % 2 == 1), w)
+    elif fixed:
+        k = identities._lis(w)
+        seen[k] += 1
+        bad.hit(identities._sign(w) == (1 if n % 2 or k % 2 == 0 else -1), w)
+
+
+def _oracle_sweep(label, n):
+    bad, seen = identities._Violations(), Counter()
+    for w in enumeration._iter_tn_slice(n, 0, enumeration.catalan(n)):
+        _oracle_visit(label, n, w, bad, seen)
+    return bad.count, bad.witness, seen
+
+
+def _widest_orbit(label, n):
+    """The 2-orbit (e, z), e first, whose members lie farthest apart in T_n."""
+    core = identities._REGISTRY[label].checker.core
+    pairs = list(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
+    position = {pair: i for i, pair in enumerate(pairs)}
+    orbits = [
+        (e, core(*e)[1:])
+        for e in pairs
+        if core(*e)[0] != "fixed" and position[core(*e)[1:]] > position[e]
+    ]
+    return max(orbits, key=lambda orbit: position[orbit[1]] - position[orbit[0]])
+
+
+def _wrong_at_later_word(name, wrong):
+    def apply(monkeypatch, label, e, z):
+        u = identities._values_from_ballots(*z)
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda v: wrong(real(v)) if v == u else real(v))
+
+    return apply
+
+
+def _later_word_reads_back_as(pick):
+    # Row insertion of the later member gives another pair; the visit at
+    # the earlier member then checks the later one from that pair.
+    def apply(monkeypatch, label, e, z):
+        u = identities._values_from_ballots(*z)
+        real = identities._rsk_ballots
+        wrong = pick(identities._REGISTRY[label].checker.core, e, z)
+        monkeypatch.setattr(identities, "_rsk_ballots", lambda v: wrong if v == u else real(v))
+
+    return apply
+
+
+def _with_core(monkeypatch, label, fake_for):
+    claim = identities._REGISTRY[label]
+    fake = fake_for(claim.checker.core)
+    monkeypatch.setitem(
+        identities._REGISTRY, label, claim._replace(checker=claim.checker._replace(core=fake))
+    )
+
+
+def _core_wrong_at_later_pair(result):
+    def apply(monkeypatch, label, e, z):
+        _with_core(monkeypatch, label, lambda real: lambda p, q: result(e, z) if (p, q) == z else real(p, q))
+
+    return apply
+
+
+def _identity_pair(e, z):
+    # The last pair of T_n, which both maps fix.
+    n = len(z[0])
+    return "P-side", (1,) * n, (1,) * n
+
+
+def _leaves_t_n(monkeypatch, label, e, z):
+    # The later member and a pair outside T_n, its p with the first +1 and
+    # the first -1 swapped (the same weight, but it starts below zero), are
+    # sent to each other.
+    p = list(z[0])
+    minus = p.index(-1)
+    p[0], p[minus] = -1, 1
+    outside = (tuple(p), z[1])
+    swapped = {z: ("P-side", *outside), outside: ("P-side", *z)}
+    _with_core(monkeypatch, label, lambda real: lambda p, q: swapped.get((p, q)) or real(p, q))
+
+
+# Faults that break only the later member of one 2-orbit, at every size.
+_LATER_MEMBER_FAULTS = {
+    "none": lambda monkeypatch, label, e, z: None,
+    "sign": _wrong_at_later_word("_sign", lambda s: -s),
+    "lis": _wrong_at_later_word("_lis", lambda k: k + 1),
+    "ldes": _wrong_at_later_word("_ldes", lambda d: d + 1),
+    "core calls the move fixed": _core_wrong_at_later_pair(lambda e, z: ("fixed", *e)),
+    "core moves nothing": _core_wrong_at_later_pair(lambda e, z: ("P-side", *z)),
+    "core is not involutive": _core_wrong_at_later_pair(_identity_pair),
+    "core leaves T_n": _leaves_t_n,
+    "row insertion reads a fixed pair": _later_word_reads_back_as(
+        lambda core, e, z: ((1,) * len(z[0]),) * 2
+    ),
+    "row insertion reads another moved pair": _later_word_reads_back_as(
+        lambda core, e, z: next(
+            x for x in enumeration._iter_tn_pairs(len(e[0]), 0, enumeration.catalan(len(e[0])))
+            if core(*x)[0] != "fixed" and not {x, core(*x)[1:]} & {e, z}
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", _LATER_MEMBER_FAULTS)
+@pytest.mark.parametrize("label", INVOLUTION_LABELS)
+def test_2_orbit_sweep_matches_the_per_permutation_check(monkeypatch, label, fault):
+    # Equal violation counts, first witness and fixed-point tallies, over
+    # the whole of T_n and merged from runs of 5 pairs.
+    for n in range(max(identities._REGISTRY[label].start, 3), 10):
+        with monkeypatch.context() as patched:
+            _LATER_MEMBER_FAULTS[fault](patched, label, *_widest_orbit(label, n))
+            expected = _oracle_sweep(label, n)
+            assert (expected[0] == 0) == (fault == "none" or (fault, label) == ("ldes", "phi-involution"))
+            bad, seen = _swept(label, n)
+            assert (bad.count, bad.witness, seen) == expected, n
+            if n <= 7:
+                runs = [
+                    identities._run_task(label, n, (start, min(start + 5, enumeration.catalan(n))))
+                    for start in range(0, enumeration.catalan(n), 5)
+                ]
+                bad, seen = functools.reduce(identities._merged, runs)
+                assert (bad.count, bad.witness, seen) == expected, n
+
+
+@pytest.mark.parametrize("label", INVOLUTION_LABELS)
+def test_witness_is_the_first_failure_in_enumeration_order(monkeypatch, label):
+    # The later member u of a 2-orbit fails alone: its pair reads back as a
+    # pair that the core sends to its partner's, so only u's sends-back
+    # clause breaks.  The sweep checks u when it reaches u's partner, before
+    # the permutations between the two, and one of those, x, fails too: the
+    # report must name x, for any worker count and slice length.
+    n = 8
+    core = identities._REGISTRY[label].checker.core
+    e, z = _widest_orbit(label, n)
+    pairs = list(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
+    between = pairs[pairs.index(e) + 1:pairs.index(z)]
+    # A fixed point or an earlier member, so that no failure precedes x, and
+    # the last one, so that runs of 5 put it in another run than e.
+    x_pair = next(
+        pair for pair in reversed(between)
+        if core(*pair)[0] == "fixed" or pairs.index(core(*pair)[1:]) > pairs.index(pair)
+    )
+    assert pairs.index(x_pair) // 5 > pairs.index(e) // 5
+    u = identities._values_from_ballots(*z)
+    x = identities._values_from_ballots(*x_pair)
+    read_back = ((0,), (0,))
+    real_rsk = identities._rsk_ballots
+    monkeypatch.setattr(identities, "_rsk_ballots", lambda v: read_back if v == u else real_rsk(v))
+    _with_core(monkeypatch, label, lambda real: lambda p, q: ("P-side", *e) if (p, q) == read_back else real(p, q))
+    assert verify(label, n).first_failure().counterexample == " ".join(map(str, u))
+    real_sign = identities._sign
+    monkeypatch.setattr(identities, "_sign", lambda v: -real_sign(v) if v == x else real_sign(v))
+    serial = report_json(verify(label, n))
+    assert verify(label, n).first_failure().counterexample == " ".join(map(str, x))
+    for slice_length in (identities._SLICE, 5):
+        monkeypatch.setattr(identities, "_SLICE", slice_length)
+        for workers in (1, 2):
+            assert report_json(verify(label, n, workers=workers)) == serial, (slice_length, workers)
+
+
+@pytest.mark.parametrize("label,checks", [("phi-involution", 8412), ("prop4.3", 8440)])
+def test_each_2_orbit_is_checked_once(monkeypatch, label, checks):
+    # One full check per fixed point and per 2-orbit, each with one row
+    # insertion, against Catalan(10) = 16796 visits before; every pair is
+    # decoded once, a later member with its partner and never at its own
+    # visit.
+    n = 10
+    inserted, decoded = [], []
+    real_rsk, real_decode = identities._rsk_ballots, identities._values_from_ballots
+    monkeypatch.setattr(identities, "_rsk_ballots", lambda v: inserted.append(v) or real_rsk(v))
+    monkeypatch.setattr(
+        identities, "_values_from_ballots", lambda p, q: decoded.append((p, q)) or real_decode(p, q)
+    )
+    bad, seen = _swept(label, n)
+    fixed = sum(seen.values())
+    assert bad.count == 0
+    assert len(inserted) == fixed + (enumeration.catalan(n) - fixed) // 2 == checks
+    assert sorted(decoded) == sorted(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
 
 
 def test_thm5_1_sweep_keeps_only_fiber_counts():

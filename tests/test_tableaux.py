@@ -88,7 +88,12 @@ class TestRsk:
         assert pair.recording == TwoRowTableau((1, 2), (3,))
 
     def test_third_row_refused(self):
-        with pytest.raises(ThirdRowRequired):
+        # 2 bumps 3 into the second row, then 1 bumps 2 below it.
+        message = (
+            "letter 2 bumped below an occupied second-row cell; "
+            "the word contains a decreasing subsequence of length three"
+        )
+        with pytest.raises(ThirdRowRequired, match=f"^{message}$"):
             rsk(Permutation((3, 2, 1)))
 
     def test_refusal_matches_avoidance(self):
