@@ -19,16 +19,17 @@ that checks one permutation and a finish that runs once per size.
 ``verify`` cuts each T_n into runs of ``_SLICE`` permutations of the
 enumeration, the same for any worker count, which worker processes (at most
 one per CPU) check when there are several workers.  ``_run_task`` holds the
-one loop over a run: it feeds each permutation, as a value tuple, to the
-step, which records violations in a ``_Violations`` and what the size-wide
-checks need in a ``Counter``.  The Phi and Psi sweeps name their ballot-pair
-core instead, and the loop feeds them ballot pairs: the two maps are
-sign-reversing involutions, so ``_check_involution`` checks each 2-orbit
-{w, image of w} once, at its earlier member in enumeration order, and skips
-the later member before decoding it.  No step keys a count by a permutation
-or its image, so these counts stay small whatever Catalan(n).  They add up
-run by run, keeping the witness with the smallest enumeration position, so
-the report is ordered by size and identical for any worker count.  Only
+one walk over a run: it feeds each permutation's ballot pair e = rsk(w) to
+the step, which decodes w only where a clause reads the word, records
+violations at e in a ``_Violations`` and what the size-wide checks need in a
+``Counter``.  The Phi and Psi sweeps name their ballot-pair core, and
+``_check_involution`` steps them: the two maps are sign-reversing
+involutions, so it checks each 2-orbit {w, image of w} once, at its earlier
+member in enumeration order, and skips the later member before decoding it.
+No step keys a count by a permutation or its image, so these counts stay
+small whatever Catalan(n).  They add up run by run, keeping the witness with
+the smallest enumeration position, so the report is ordered by size and
+identical for any worker count and visit order.  Only
 ``verify`` and ``check_identity_at`` validate; steps and checkers run on
 unchecked tuple cores, and a witness is rendered only when a clause fails.
 """
@@ -63,7 +64,6 @@ from .enumeration import (
     SignedPolynomial,
     _check_ballot_cap,
     _iter_tn_pairs,
-    _iter_tn_slice,
     _joint_rows,
     _sides,
     _signed_distribution,
@@ -146,11 +146,11 @@ def _position(pair: tuple) -> tuple:
 class _Violations:
     """Collects a violation count and the first offending witness.
 
-    A hit at a permutation may name its ballot pair ``at``; the witness is
-    then the one with the smallest enumeration key, since the involution
-    sweeps check a 2-orbit's later member when they visit its earlier one.
-    Hits that name no pair (the size-wide checks, and the sweeps that visit
-    permutations in order) sort after every pair and keep the first witness.
+    A hit at a permutation names its ballot pair ``at``, and the witness is
+    the one with the smallest enumeration key, whatever the order of the
+    visits: the involution sweeps check a 2-orbit's later member when they
+    visit its earlier one.  Hits that name no pair (the size-wide checks)
+    sort after every pair and keep the first witness.
     """
 
     def __init__(self, count: int = 0, witness: str | None = None, key: tuple = _LAST):
@@ -218,12 +218,16 @@ def _check_eo_identities(n: int) -> _Compared:
     return _strip_zeros(observed), expected.as_map(), None
 
 
-def _step_prop2_1(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
-    s_tab = _sign_by_srs(*_rsk_ballots(w))
+def _step_prop2_1(n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
+    # The round trip makes this the one label that checks row insertion
+    # against its inverse on all of T_n.
+    w = _values_from_ballots(*e)
+    s_tab = _sign_by_srs(*e)
     s_inv = _sign(w)
     seen["srs", s_tab] += 1
     seen["inv", s_inv] += 1
-    bad.hit(s_tab == s_inv, w)
+    bad.hit(_rsk_ballots(w) == e, w, e)
+    bad.hit(s_tab == s_inv, w, e)
 
 
 def _finish_prop2_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -233,18 +237,19 @@ def _finish_prop2_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
     )
 
 
-def _step_lemma2_2(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+def _step_lemma2_2(n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
+    w = _values_from_ballots(*e)
     c_sum = 0
     for i, j in _match_pairs(w):
         rc = _region_counts(w, i, j)
         vi = w[i - 1]
-        bad.hit(rc.c1 == 0, w)
-        bad.hit((rc.c - (vi + j)) % 2 == 0, w)
-        bad.hit(rc.c2 + rc.c3 + 2 * rc.c4 == (n - vi) + (n - j), w)
+        bad.hit(rc.c1 == 0, w, e)
+        bad.hit((rc.c - (vi + j)) % 2 == 0, w, e)
+        bad.hit(rc.c2 + rc.c3 + 2 * rc.c4 == (n - vi) + (n - j), w, e)
         c_sum += rc.c
     inv = _inversion_count(w)
     decomposition = c_sum + (n - _lis(w))
-    bad.hit(inv == decomposition, w)
+    bad.hit(inv == decomposition, w, e)
     seen["inversions"] += inv
     seen["decomposed"] += decomposition
 
@@ -368,24 +373,26 @@ def _finish_phi_involution(n: int, bad: _Violations, seen: Counter) -> _Compared
     return bad.compared(_strip_zeros(seen), _strip_zeros(expected))
 
 
-def _step_lemma4_2(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+def _step_lemma4_2(n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
     # Elementwise parity claims over the permutations whose insertion-side
-    # sequence is in A* and whose recording side avoids class B.
-    p, q = _rsk_ballots(w)
+    # sequence is in A* and whose recording side avoids class B; only those
+    # are decoded.
+    p, q = e
     if _epsilon(p):
         return
     q_cls = _classify(q)
     if q_cls.tag is BallotClassTag.B:
         return
+    w = _values_from_ballots(p, q)
     d = _ldes(w)
     k = _lis(w)
     s = _sign(w)
     if d % 2 == 0:
-        bad.hit(s == 1, w)
+        bad.hit(s == 1, w, e)
     elif n % 2:
-        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR), w)
+        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR), w, e)
     else:
-        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0), w)
+        bad.hit((s == 1) == (q_cls.tag is BallotClassTag.A_STAR and k % 2 == 0), w, e)
 
 
 def _finish_lemma4_2(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -444,18 +451,19 @@ def _check_cor4_4(n: int) -> _Compared:
     return lhs.as_map(), rhs.as_map(), None
 
 
-def _step_thm5_1(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+def _step_thm5_1(n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
     # An image in T_n with a left inverse makes the map injective on the
     # finite set T_n, hence a bijection; the right-inverse clause checks that
     # it is onto directly.  Both are checked one permutation at a time.
+    w = _values_from_ballots(*e)
     image = _reinsert(w)
-    bad.hit(_is_321_avoiding(image), w)
-    bad.hit(_lind(image) == _ldes(w) + 1, w)
+    bad.hit(_is_321_avoiding(image), w, e)
+    bad.hit(_lind(image) == _ldes(w) + 1, w, e)
     fiber = tuple(i for i in _descents(_inverse(w)) if i <= n - 2)
     fiber_img = tuple(i for i in _descents(_inverse(image)) if i <= n - 2)
-    bad.hit(fiber == fiber_img, w)
-    bad.hit(_reinsert_inverse(image) == w, w)
-    bad.hit(_reinsert(_reinsert_inverse(w)) == w, w)
+    bad.hit(fiber == fiber_img, w, e)
+    bad.hit(_reinsert_inverse(image) == w, w, e)
+    bad.hit(_reinsert(_reinsert_inverse(w)) == w, w, e)
     seen["lind", fiber, _lind(w)] += 1
     seen["ldes", fiber, _ldes(w) + 1] += 1
 
@@ -473,16 +481,17 @@ def _finish_thm5_1(n: int, bad: _Violations, seen: Counter) -> _Compared:
     return bad.compared(_strip_zeros(lhs_counts), _strip_zeros(rhs_counts))
 
 
-def _step_srs_matching(n: int, w: tuple[int, ...], bad: _Violations, seen: Counter) -> None:
+def _step_srs_matching(n: int, e: tuple, bad: _Violations, seen: Counter) -> None:
+    p, q = e
+    w = _values_from_ballots(p, q)
     pairs = _match_pairs(w)
-    p, q = _rsk_ballots(w)
-    row2_letters = {i for i, e in enumerate(p, 1) if e < 0}
-    row2_positions = {i for i, e in enumerate(q, 1) if e < 0}
-    bad.hit({w[i - 1] for i, _ in pairs} == row2_letters, w)
-    bad.hit({j for _, j in pairs} == row2_positions, w)
-    bad.hit(len(pairs) == n - _lis(w), w)
+    row2_letters = {i for i, x in enumerate(p, 1) if x < 0}
+    row2_positions = {i for i, x in enumerate(q, 1) if x < 0}
+    bad.hit({w[i - 1] for i, _ in pairs} == row2_letters, w, e)
+    bad.hit({j for _, j in pairs} == row2_positions, w, e)
+    bad.hit(len(pairs) == n - _lis(w), w, e)
     pair_total = sum(w[i - 1] + j for i, j in pairs)
-    bad.hit(_second_row_sum(p, q) == pair_total, w)
+    bad.hit(_second_row_sum(p, q) == pair_total, w, e)
 
 
 def _finish_srs_matching(n: int, bad: _Violations, seen: Counter) -> _Compared:
@@ -492,17 +501,18 @@ def _finish_srs_matching(n: int, bad: _Violations, seen: Counter) -> _Compared:
 class _Sweep(NamedTuple):
     """A claim checked permutation by permutation over T_n.
 
-    ``step(n, w, bad, seen)`` checks one permutation w, a value tuple, on
-    the unchecked tuple cores: it records violations in ``bad`` (a
+    ``step(n, e, bad, seen)`` checks the permutation w at the ballot pair
+    e = rsk(w) on the unchecked tuple cores, decoding w only where a clause
+    reads the word: it records violations at e in ``bad`` (a
     ``_Violations``) and counts in ``seen`` (a ``Counter``) what the
     size-wide checks need.  ``finish(n, bad, seen)`` runs those checks once
     every run of T_n is stepped through and merged in enumeration order.
 
     An involution sweep names its ballot-pair ``core``, and
     ``_check_involution`` checks it pair by pair.  Its ``step(n, w)`` then
-    reads a permutation: its sign, the statistics the map keeps, and for a
-    fixed point the key it is counted under and whether its sign is the
-    claimed one.
+    reads a decoded permutation: its sign, the statistics the map keeps, and
+    for a fixed point the key it is counted under and whether its sign is
+    the claimed one.
     """
 
     step: Callable
@@ -616,15 +626,11 @@ def _run_task(identity: str, n: int, bounds: tuple[int, int] | None):
     checker = _REGISTRY[identity].checker
     if bounds is None:
         return checker(n)
-    # The one loop over a run of T_n: an involution sweep visits its ballot
-    # pairs, any other sweep its value tuples.
-    if checker.core is None:
-        walk, visit = _iter_tn_slice, checker.step
-    else:
-        walk, visit = _iter_tn_pairs, partial(_check_involution, checker)
+    # The one walk over a run of T_n, by ballot pair.
+    visit = checker.step if checker.core is None else partial(_check_involution, checker)
     bad, seen = _Violations(), Counter()
-    for item in walk(n, *bounds):
-        visit(n, item, bad, seen)
+    for e in _iter_tn_pairs(n, *bounds):
+        visit(n, e, bad, seen)
     return bad, seen
 
 

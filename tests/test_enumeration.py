@@ -189,12 +189,19 @@ class TestJointRows:
             assert balance == (catalan((n - 1) // 2) if n % 2 else 0), n
 
     def test_signed_lind_is_signed_ldes_plus_one_up_to_sign(self):
-        # Thm 5.1's sign statement with its factor (-1)^(n - 1).
+        # Thm 5.1's sign statement with its factor (-1)^(n - 1), from the
+        # engine and, for n <= 9, from the words of T_n.
         for n in self.LARGE:
             ldes = _signed_distribution(n, "ldes").signed()
             assert _signed_distribution(n, "lind").signed() == {
                 d + 1: (-1) ** (n - 1) * c for d, c in ldes.items()
             }, n
+        for n in range(1, 10):
+            signed = {}
+            for _k, d, lind, s, c in _word_sweep_rows(n):
+                signed[lind] = signed.get(lind, 0) + s * c
+                signed[d + 1] = signed.get(d + 1, 0) - (-1) ** (n - 1) * s * c
+            assert not any(signed.values()), n
 
 
 class TestSignedDistribution:

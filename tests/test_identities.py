@@ -360,7 +360,7 @@ def test_thm5_1_step_checks_both_inverse_directions(monkeypatch, wrong_at):
         lambda values: values if values == target else real(values),
     )
     bad, seen = identities._Violations(), Counter()
-    identities._REGISTRY["thm5.1"].checker.step(n, w.values, bad, seen)
+    identities._REGISTRY["thm5.1"].checker.step(n, identities._rsk_ballots(w.values), bad, seen)
     assert (bad.count, bad.witness) == (1, str(w))
 
 
@@ -602,6 +602,74 @@ def test_each_2_orbit_is_checked_once(monkeypatch, label, checks):
     assert bad.count == 0
     assert len(inserted) == fixed + (enumeration.catalan(n) - fixed) // 2 == checks
     assert sorted(decoded) == sorted(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
+
+
+@pytest.mark.parametrize(
+    "label,decodes,insertions",
+    [
+        ("prop2.1", 16796, 16796),
+        ("lemma2.2", 16796, 0),
+        ("lemma4.2-parity", 110, 0),
+        ("thm5.1", 16796, 0),
+        ("srs-matching-consistency", 16796, 0),
+    ],
+)
+def test_each_step_decodes_only_what_its_clauses_read(monkeypatch, label, decodes, insertions):
+    # Every step gets the ballot pair: lemma4.2-parity decodes only the pairs
+    # its clauses cover, and only prop2.1 row-inserts, once per pair, for
+    # its round-trip clause.
+    n = 10
+    inserted, decoded = [], []
+    real_rsk, real_decode = identities._rsk_ballots, identities._values_from_ballots
+    monkeypatch.setattr(identities, "_rsk_ballots", lambda v: inserted.append(v) or real_rsk(v))
+    monkeypatch.setattr(
+        identities, "_values_from_ballots", lambda p, q: decoded.append((p, q)) or real_decode(p, q)
+    )
+    bad, _seen = _swept(label, n)
+    assert bad.count == 0
+    assert (len(decoded), len(inserted)) == (decodes, insertions)
+    assert len(set(decoded)) == len(decoded)
+
+
+@pytest.mark.parametrize("label", ["prop2.1", "srs-matching-consistency"])
+def test_a_wrong_decode_is_caught(monkeypatch, label):
+    # At one pair e of T_6 the decode returns the word of another pair, of
+    # the same sign, so only clauses that read e itself can see it: prop2.1's
+    # round trip and srs-matching-consistency's second rows.
+    n = 6
+    pairs = list(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
+    real = identities._values_from_ballots
+    e = pairs[len(pairs) // 2]
+    word = next(
+        real(*z) for z in pairs
+        if z[0] != e[0] and z[1] != e[1] and identities._sign(real(*z)) == identities._sign(real(*e))
+    )
+    monkeypatch.setattr(
+        identities, "_values_from_ballots", lambda p, q: word if (p, q) == e else real(p, q)
+    )
+    for workers in (1, 2):
+        failure = verify(label, n, workers=workers).first_failure()
+        assert failure.n == n and failure.lhs["violations"] >= 1, workers
+        assert failure.counterexample == " ".join(map(str, word)), workers
+
+
+@pytest.mark.parametrize("label", SWEEP_LABELS)
+def test_witness_does_not_depend_on_visit_order(monkeypatch, label):
+    # Every step hit names its pair, so a walk of T_n backwards, or in any
+    # order a sampler draws the pairs in, names the same first failure.
+    name, fault, _elementwise = _INJECTED_FAULTS[label]
+    monkeypatch.setattr(identities, name, fault(getattr(identities, name)))
+    n = 7
+    checker = identities._REGISTRY[label].checker
+    visit = checker.step if checker.core is None else functools.partial(identities._check_involution, checker)
+    pairs = list(enumeration._iter_tn_pairs(n, 0, enumeration.catalan(n)))
+    runs = []
+    for order in (pairs, pairs[::-1]):
+        bad, seen = identities._Violations(), Counter()
+        for e in order:
+            visit(n, e, bad, seen)
+        runs.append((bad.count, bad.witness, seen))
+    assert runs[0] == runs[1] and runs[0][0] > 0
 
 
 def test_thm5_1_sweep_keeps_only_fiber_counts():
